@@ -7,9 +7,9 @@ file.  Each bench
   mode -- these are minutes-long joins, not microbenchmarks),
 * prints the paper-style table of series, and
 * writes the same table to ``benchmarks/results/figN_*.txt`` so the output
-  survives pytest's capture (EXPERIMENTS.md embeds these files).
+  survives pytest's capture.
 
-Scaling note (see DESIGN.md / EXPERIMENTS.md): the paper joins 44,382,766
+Scaling note: the paper joins 44,382,766
 names on 100-1000 machines.  We join ``CORPUS_SIZE`` synthetic names
 (default 1,200-2,500, overridable via ``REPRO_BENCH_SCALE``) on simulated
 clusters of 10-100 machines and keep the *shape* of every curve: who wins,

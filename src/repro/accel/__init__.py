@@ -23,7 +23,8 @@ All verification entry points accept ``backend``:
 * ``"bitparallel"`` -- the Myers kernel;
 * ``"vector"`` -- the numpy-batched Myers kernel
   (:mod:`repro.accel.vector`): batched calls (``verify_pairs`` and the
-  probe paths built on it) advance every pair's DP columns in lockstep;
+  batched verification built on it) advance every pair's DP columns in
+  lockstep (the serving probe's filters are backend-independent);
   single-pair calls share the scalar Myers kernel, so ``vector`` and
   ``bitparallel`` are value- and metering-identical everywhere and differ
   only in batched wall-clock.  Requires numpy: an explicit

@@ -2,7 +2,7 @@
 
 The paper evaluates on 44M proprietary Google-account names.  This package
 substitutes a synthetic equivalent that preserves the properties the
-algorithms are sensitive to (see DESIGN.md, "Data substitution"):
+algorithms are sensitive to:
 
 * realistic multi-token names with a **Zipf-like token popularity**
   distribution, so high-frequency tokens ("John", "Mary") exist and the

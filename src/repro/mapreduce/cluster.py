@@ -35,7 +35,7 @@ class CostModel:
     shuffle measured against single-digit-microsecond handling costs, task
     dispatch in the tens of milliseconds, job setup in the tens of seconds).
     Absolute values are not meant to match the paper's testbed -- only the
-    *shape* of the curves matters (see EXPERIMENTS.md).
+    *shape* of the curves matters (the ``benchmarks/bench_fig*`` tables).
     """
 
     job_overhead: float = 12.0

@@ -24,14 +24,13 @@ Against that snapshot it serves:
   simulated seconds) with tokenization amortized away;
 * :meth:`topk` / :meth:`within` -- batched probe paths over the
   candidate pipeline: Lemma 6 length window (complete by construction),
-  the shared :class:`repro.candidates.FilterCascade` with the canonical
-  counters, a histogram lower-bound prune, and exact verification
+  the Lemma 6 length filter and the histogram lower-bound prune --
+  decided once per *distinct* token-length histogram in the window and
+  charged to the canonical cascade counters -- then exact verification
   through the snapshot vocab (single-token records go through the
-  batched :func:`repro.candidates.verify_nld_pairs` fast path).  Under
-  the ``vector`` backend the per-candidate loop is replaced by the
-  numpy array probe (``searchsorted`` length window, masked filter
-  arrays, one histogram bound per distinct histogram) -- identical
-  results and counter totals, batched wall-clock;
+  batched :func:`repro.candidates.verify_nld_pairs` fast path).  The
+  probe is pure Python and backend-independent: ``backend`` only picks
+  the verification kernel;
 * :meth:`append` -- incremental growth: new records extend the
   interners, postings and length order in place, no rebuild;
 * a bounded LRU result cache (hits/misses surfaced next to the cascade
@@ -65,13 +64,11 @@ from collections import Counter
 from typing import Sequence
 
 from repro.accel import Vocab, resolve_backend
-from repro.accel.vector import numpy_or_none
 from repro.candidates import (
     COUNTER_CANDIDATES,
     COUNTER_PRUNED_COUNT,
     COUNTER_PRUNED_LENGTH,
     COUNTER_VERIFIED,
-    FilterCascade,
     HistogramBoundFilter,
     PostingsIndex,
     new_counters,
@@ -108,10 +105,8 @@ class SimilarityIndex:
         are byte-identical.
     backend:
         Edit-distance kernel for verification (``"auto" | "dp" |
-        "bitparallel" | "vector"``; values are backend-invariant).
-        Under ``vector`` (what ``auto`` resolves to when numpy is
-        importable) the probe paths also swap the per-candidate cascade
-        loop for the array probe -- same results, same counters.
+        "bitparallel" | "vector"``; results and counters are
+        backend-invariant, the probe itself does not depend on it).
     cache_size:
         Capacity of the LRU result cache (0 disables result caching).
 
@@ -154,7 +149,12 @@ class SimilarityIndex:
         #: ``(aggregate_length, record_id)`` in ascending order -- the
         #: Lemma 6 length partition probed by binary search.
         self._lengths: list[tuple[int, int]] = []
+        #: Record id -> dense id of its encoded token-length histogram,
+        #: indexing :attr:`_histograms` (the distinct histograms, first-
+        #: seen order; :attr:`_histogram_slots` is the reverse map).
+        self._histogram_ids: list[int] = []
         self._histograms: list[tuple[tuple[int, int], ...]] = []
+        self._histogram_slots: dict[tuple[tuple[int, int], ...], int] = {}
         self._cache = LRUCache(cache_size)
         #: Canonical cascade + result-cache counters (cumulative).
         self.counters: dict[str, int] = new_counters()
@@ -168,10 +168,6 @@ class SimilarityIndex:
         #: and one warm memo -- serves every radius (the threshold field
         #: is unused on this path).
         self._probe_filter = HistogramBoundFilter(0.0, use_lemma10=False)
-        #: Lazily built probe arrays for the ``vector`` backend's
-        #: array-based cascade (see :meth:`_arrays`); derived state,
-        #: invalidated on append and rebuilt per process.
-        self._probe_arrays: tuple | None = None
         #: Lazily built metric-space serving backends (not pickled).
         self._knn: dict[str, object] = {}
         #: Stable identity for pool-publication bookkeeping.
@@ -217,7 +213,9 @@ class SimilarityIndex:
                 self._token_postings.add(token_id, record_id)
                 self._vocab.masks(token_id)  # snapshot the Peq table now
             self._lengths.append((record.aggregate_length, record_id))
-            self._histograms.append(encode_histogram(record.length_histogram))
+            self._histogram_ids.append(
+                self._histogram_slot(encode_histogram(record.length_histogram))
+            )
             added = True
         if added:
             # One sort per append call, not one insort per record (which
@@ -225,8 +223,15 @@ class SimilarityIndex:
             self._lengths.sort()
             self._cache.clear()
             self._knn.clear()
-            self._probe_arrays = None
             self.unpublish()  # the next pooled serve re-publishes
+
+    def _histogram_slot(self, histogram: tuple[tuple[int, int], ...]) -> int:
+        """The dense id of an encoded histogram, minting one when new."""
+        slot = self._histogram_slots.get(histogram)
+        if slot is None:
+            slot = self._histogram_slots[histogram] = len(self._histograms)
+            self._histograms.append(histogram)
+        return slot
 
     def _check_append_base(self, names: Sequence[str], base: int) -> bool:
         """Validate an append's ``base`` offset; True when it is a replay.
@@ -326,7 +331,6 @@ class SimilarityIndex:
         state = dict(self.__dict__)
         state["_knn"] = {}
         state["_published"] = None
-        state["_probe_arrays"] = None  # derived; rebuilt lazily per process
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -359,6 +363,13 @@ class SimilarityIndex:
         self._published = None
 
     # -- result cache ----------------------------------------------------------
+    #
+    # This section and the two below it (the join and per-query serving)
+    # are shared verbatim with :class:`repro.shard.ShardedIndex`, which
+    # holds the same ``_cache`` / ``counters`` / ``_names`` / ``_records``
+    # state and implements the probe primitives (``_probe``,
+    # ``_overlap``, ``_verify``, ``_within_ids``, ``_knn_hits``,
+    # ``_fuzzy_index``) by scatter-gather over its shards.
 
     def _cache_get(self, key):
         value = self._cache.get(key, _MISS)
@@ -477,335 +488,214 @@ class SimilarityIndex:
     # -- per-query serving (also the pool workers' entry points) ----------------
 
     def _topk_one(
-        self, query: str, k: int, method: str = "cascade"
+        self, query: str, k: int, method: str = "cascade", processes: int = 0
     ) -> list[tuple[str, float]]:
         key = ("topk", method, query, k)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)  # callers own their copy, never the cache's
-        if method != "cascade":
-            result = self._knn_topk(query, k, method)
-        else:
-            record, token_ids = self._prepare(query)
-            k_effective = min(k, len(self._records))
-            if k_effective == 0:
-                result = []
+        result = self._cache_get(key)
+        if result is None:
+            if method == "fuzzymatch":
+                result = self._fuzzy_topk(query, k)
             else:
-                known = self._seed_candidates(record, token_ids, k_effective)
-                if len(known) >= k_effective:
-                    radius = sorted(known.values())[k_effective - 1]
+                if method == "cascade":
+                    hits = self._cascade_topk(self._probe(query, processes), k)
                 else:
-                    radius = 0.25
-                while True:
-                    # ``known`` accumulates every exact distance verified
-                    # so far, so an expansion pass never re-verifies the
-                    # previous window.
-                    hits = self._within_ids(record, radius, known)
-                    if len(hits) >= k_effective or radius >= 1.0:
-                        break
-                    radius = min(1.0, radius * 2.0)
-                result = [
-                    (self._names[record_id], distance)
-                    for record_id, distance in hits[:k_effective]
-                ]
-        self._cache_put(key, result)
-        return list(result)
+                    args = (query, k, method)
+                    hits = self._knn_hits("_shard_topk_knn", args, processes)[:k]
+                result = [(self._names[record_id], score) for record_id, score in hits]
+            self._cache_put(key, result)
+        return list(result)  # callers own their copy, never the cache's
 
     def _within_one(
-        self, query: str, radius: float, method: str = "cascade"
+        self, query: str, radius: float, method: str = "cascade", processes: int = 0
     ) -> list[tuple[str, float]]:
         key = ("within", method, query, radius)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)  # callers own their copy, never the cache's
-        if method != "cascade":
-            result = self._knn_within(query, radius, method)
-        else:
-            record, token_ids = self._prepare(query)
-            result = [
-                (self._names[record_id], distance)
-                for record_id, distance in self._within_ids(record, radius)
-            ]
-        self._cache_put(key, result)
-        return list(result)
+        result = self._cache_get(key)
+        if result is None:
+            if method == "cascade":
+                hits = self._within_ids(self._probe(query, processes), radius)
+            else:
+                args = (query, radius, method)
+                hits = self._knn_hits("_shard_within_knn", args, processes)
+            result = [(self._names[record_id], score) for record_id, score in hits]
+            self._cache_put(key, result)
+        return list(result)  # callers own their copy, never the cache's
 
-    def _prepare(self, query: str) -> tuple[TokenizedString, tuple[int, ...]]:
+    def _cascade_topk(self, probe, k: int) -> list[tuple[int, float]]:
+        """Exact NSLD top-k: seed a radius from the postings, then expand.
+
+        The best-overlapping records (ranked by ``(-overlap, id)``,
+        capped) are verified first and the k-th seed distance becomes the
+        first radius -- one complete ``within`` pass instead of blind
+        expansion.  Seeding only tightens the start, so the cap never
+        loses results.  The radius doubles until a pass holds ``k`` hits;
+        ``known`` carries every exact distance across passes, so no
+        record is verified twice.  The router runs this same driver over
+        its scatter-gather primitives, which is what makes sharded
+        results *and counters* equal this index's.
+        """
+        k = min(k, len(self._records))
+        if k == 0:
+            return []
+        ranked = sorted(
+            self._overlap(probe).items(), key=lambda item: (-item[1], item[0])
+        )
+        cap = max(_MIN_SEED_CAP, _SEED_FACTOR * k)
+        seeds = [record_id for record_id, _ in ranked[:cap]]
+        known = self._verify(probe, seeds)
+        # Seed verification is uncounted at the primitive; charge it here.
+        self.counters[COUNTER_CANDIDATES] += len(seeds)
+        self.counters[COUNTER_VERIFIED] += len(seeds)
+        radius = sorted(known.values())[k - 1] if len(known) >= k else 0.25
+        while True:
+            hits = self._within_ids(probe, radius, known)
+            if len(hits) >= k or radius >= 1.0:
+                return hits[:k]
+            radius = min(1.0, radius * 2.0)
+
+    def _fuzzy_topk(self, query: str, k: int) -> list[tuple[str, float]]:
+        """FMS top-k, descending similarity, as token-joined strings."""
+        record = self.tokenizer.tokenize(query)
+        return [
+            (" ".join(tokens), score)
+            for tokens, score in self._fuzzy_index().query(list(record.tokens), k=k)
+        ]
+
+    # -- probe primitives ---------------------------------------------------------
+
+    def _probe(
+        self, query: str, processes: int = 0
+    ) -> tuple[TokenizedString, tuple[int, ...]]:
+        """The query tokenized and interned once for every pass over it.
+
+        ``processes`` is the router's per-query scatter width; a single
+        index fans whole query batches out instead (:meth:`_serve`).
+        """
         record = self.tokenizer.tokenize(query)
         return record, self._vocab.intern_all(record.tokens)
 
-    def _seed_candidates(
-        self,
-        record: TokenizedString,
-        token_ids: tuple[int, ...],
-        k: int,
-    ) -> dict[int, float]:
-        """Probe the token postings and verify the best-overlapping seeds.
-
-        Seeds tighten the initial top-k radius to the k-th seed distance
-        (one complete ``within`` pass instead of blind expansion); they
-        never affect correctness, so the fully-verified set is capped.
-        """
+    def _overlap(self, probe) -> Counter:
+        """Distinct-query-token overlap per record id (no counters)."""
         lookup = self._token_postings.lookup_ref()
         postings = self._token_postings.postings
         overlap: Counter = Counter()
-        for token_id in set(token_ids):
+        for token_id in set(probe[1]):
             signature_id = lookup(token_id)
             if signature_id is not None:
                 overlap.update(postings[signature_id])
-        cap = max(_MIN_SEED_CAP, _SEED_FACTOR * k)
-        ranked = sorted(overlap.items(), key=lambda item: (-item[1], item[0]))
-        counters = self.counters
-        known: dict[int, float] = {}
-        for record_id, _ in ranked[:cap]:
-            counters[COUNTER_CANDIDATES] += 1
-            counters[COUNTER_VERIFIED] += 1
-            known[record_id] = self._nsld_to(record, record_id)
-        return known
+        return overlap
+
+    def _verify(self, probe, record_ids: Sequence[int]) -> dict[int, float]:
+        """Exact NSLD to each listed record (no counters: the caller
+        charges them)."""
+        record = probe[0]
+        return {
+            record_id: self._nsld_to(record, record_id) for record_id in record_ids
+        }
 
     def _within_ids(
         self,
-        record: TokenizedString,
+        probe,
         radius: float,
         known: dict[int, float] | None = None,
     ) -> list[tuple[int, float]]:
-        """All record ids within NSLD ``radius`` of ``record``.
+        """All record ids within NSLD ``radius`` of the probed query.
 
         Complete by construction: Lemma 6 makes the aggregate-length
-        window a superset of every qualifying record, the filter cascade
-        only prunes on sound lower bounds, and survivors are verified
-        exactly.  Returns ``(record_id, distance)`` sorted by
-        ``(distance, record_id)`` -- the oracle tie-break.
+        window a superset of every qualifying record, the filters only
+        prune on sound lower bounds, and survivors are verified exactly.
+        Returns ``(record_id, distance)`` sorted by ``(distance,
+        record_id)`` -- the oracle tie-break.
+
+        Both filters -- the Lemma 6 length bound and the Sec. III-E.2
+        histogram bound -- are functions of a candidate's token-length
+        histogram (its aggregate length is the histogram's weighted sum),
+        so each is decided once per *distinct* histogram in the window
+        and fanned out to the records by their dense histogram ids.  The
+        counters come out exactly as a per-candidate
+        :class:`~repro.candidates.FilterCascade` (length, then histogram)
+        would charge them.
 
         ``known`` is a read/write memo of exact distances: entries are
         trusted instead of re-verified, and every exact distance this
         pass computes is written back (so the top-k expansion loop never
         re-verifies a previous, smaller window).
-
-        Under the ``vector`` backend the per-candidate cascade loop is
-        replaced by the array probe (:meth:`_within_ids_vector`):
-        identical results, identical counter totals, batched filters.
         """
-        if resolve_backend(self.backend) == "vector":
-            return self._within_ids_vector(record, radius, known)
+        resolve_backend(self.backend)  # an unusable backend fails on first use
+        record = probe[0]
+        records = self._records
         query_length = record.aggregate_length
-        lengths = self._lengths
         if radius >= 1.0:
-            window = range(len(self._records))
+            window = range(len(records))
         else:
+            lengths = self._lengths
             low = math.floor((1.0 - radius) * query_length)
             high = math.ceil(query_length / (1.0 - radius))
             start = bisect_left(lengths, (low, -1))
-            stop = bisect_right(lengths, (high, len(self._records)))
+            stop = bisect_right(lengths, (high, len(records)))
             window = [record_id for _, record_id in lengths[start:stop]]
 
-        records = self._records
-        bound_filter = self._probe_filter
-        query_histogram = encode_histogram(record.length_histogram)
-        histograms = self._histograms
-
-        def length_admits(candidate: int) -> bool:
-            other_length = records[candidate].aggregate_length
-            return nsld_length_lower_bound(query_length, other_length) <= radius
-
-        def histogram_admits(candidate: int) -> bool:
-            bound = bound_filter.nsld_bound_encoded(
-                query_histogram, histograms[candidate], ()
-            )
-            return bound <= radius
-
-        cascade = FilterCascade(
-            (COUNTER_PRUNED_LENGTH, length_admits),
-            (COUNTER_PRUNED_COUNT, histogram_admits),
-            counters=self.counters,
-        )
-
-        counters = self.counters
         results: list[tuple[float, int]] = []
-        single_token_ids: list[int] = []
-        query_is_single = record.token_count == 1
-        for record_id in window:
-            if known is not None:
-                distance = known.get(record_id)
-                if distance is not None:
-                    if distance <= radius:
-                        results.append((distance, record_id))
-                    continue
-            if not cascade.admit(record_id):
-                continue
-            if query_is_single and records[record_id].token_count == 1:
-                single_token_ids.append(record_id)
-                continue
-            counters[COUNTER_VERIFIED] += 1
-            distance = self._nsld_to(record, record_id)
-            if known is not None:
-                known[record_id] = distance
-            if distance <= radius:
-                results.append((distance, record_id))
-
-        return self._finish_within(record, radius, known, results, single_token_ids)
-
-    def _arrays(self) -> tuple:
-        """The ``vector`` probe's array mirror of the snapshot, built lazily.
-
-        Columns, all aligned or keyed by record id:
-
-        * the length partition (sorted aggregate lengths + their record
-          ids -- ``self._lengths`` unzipped, for ``searchsorted``);
-        * per-record aggregate lengths and token counts;
-        * per-record *dense histogram ids* plus the distinct encoded
-          histograms, so the histogram bound is computed once per
-          distinct histogram in a window and fanned out by gather.
-        """
-        built = self._probe_arrays
-        if built is None:
-            np = numpy_or_none()
-            records = self._records
-            length_vals = np.fromiter(
-                (length for length, _ in self._lengths),
-                dtype=np.int64,
-                count=len(records),
-            )
-            length_ids = np.fromiter(
-                (record_id for _, record_id in self._lengths),
-                dtype=np.int64,
-                count=len(records),
-            )
-            aggregate = np.fromiter(
-                (record.aggregate_length for record in records),
-                dtype=np.int64,
-                count=len(records),
-            )
-            token_counts = np.fromiter(
-                (record.token_count for record in records),
-                dtype=np.int64,
-                count=len(records),
-            )
-            slots: dict[tuple, int] = {}
-            distinct: list[tuple] = []
-            histogram_ids = np.empty(len(records), dtype=np.int64)
-            for record_id, histogram in enumerate(self._histograms):
-                slot = slots.get(histogram)
-                if slot is None:
-                    slot = slots[histogram] = len(distinct)
-                    distinct.append(histogram)
-                histogram_ids[record_id] = slot
-            built = self._probe_arrays = (
-                length_vals,
-                length_ids,
-                aggregate,
-                token_counts,
-                histogram_ids,
-                distinct,
-            )
-        return built
-
-    def _within_ids_vector(
-        self,
-        record: TokenizedString,
-        radius: float,
-        known: dict[int, float] | None,
-    ) -> list[tuple[int, float]]:
-        """The array-probe twin of the cascade loop in :meth:`_within_ids`.
-
-        Counter-identical by construction: every candidate the scalar
-        loop would charge ``candidates_generated`` for is in ``fresh``;
-        the length mask reproduces ``nsld_length_lower_bound`` in IEEE
-        float64 exactly (``2d / (L(x) + L(y) + d)``, 0 for two empties),
-        so ``pruned_by_length`` / ``pruned_by_count`` are the same mask
-        sums the scalar cascade tallies one admit() at a time; survivors
-        flow through the identical verification tail in the identical
-        (window) order.
-        """
-        np = numpy_or_none()
-        (
-            length_vals,
-            length_ids,
-            aggregate,
-            token_counts,
-            histogram_ids,
-            distinct,
-        ) = self._arrays()
-        query_length = record.aggregate_length
-        if radius >= 1.0:
-            window_ids = np.arange(len(self._records), dtype=np.int64)
-        else:
-            low = math.floor((1.0 - radius) * query_length)
-            high = math.ceil(query_length / (1.0 - radius))
-            start = int(np.searchsorted(length_vals, low, side="left"))
-            stop = int(np.searchsorted(length_vals, high, side="right"))
-            window_ids = length_ids[start:stop]
-
-        results: list[tuple[float, int]] = []
+        fresh = window
         if known:
-            known_ids = np.fromiter(known.keys(), dtype=np.int64, count=len(known))
-            for record_id in known_ids[np.isin(known_ids, window_ids)].tolist():
-                distance = known[record_id]
-                if distance <= radius:
+            fresh = []
+            for record_id in window:
+                distance = known.get(record_id)
+                if distance is None:
+                    fresh.append(record_id)
+                elif distance <= radius:
                     results.append((distance, record_id))
-            fresh = window_ids[~np.isin(window_ids, known_ids)]
-        else:
-            fresh = window_ids
 
         counters = self.counters
-        counters[COUNTER_CANDIDATES] += int(fresh.size)
-
-        gaps = np.abs(aggregate[fresh] - query_length)
-        denominators = aggregate[fresh] + query_length + gaps
-        # maximum(..., 1) only masks the two-empty-strings case, where the
-        # scalar bound is defined as 0.0 (and the numerator is 0 anyway).
-        length_ok = (2.0 * gaps / np.maximum(denominators, 1)) <= radius
-        counters[COUNTER_PRUNED_LENGTH] += int(fresh.size - length_ok.sum())
-        survivors = fresh[length_ok]
-
-        if survivors.size:
-            bound_filter = self._probe_filter
-            query_histogram = encode_histogram(record.length_histogram)
-            slots = histogram_ids[survivors]
-            bounds = np.empty(len(distinct), dtype=np.float64)
-            for slot in np.unique(slots).tolist():
-                bounds[slot] = bound_filter.nsld_bound_encoded(
-                    query_histogram, distinct[slot], ()
-                )
-            histogram_ok = bounds[slots] <= radius
-            counters[COUNTER_PRUNED_COUNT] += int(slots.size - histogram_ok.sum())
-            survivors = survivors[histogram_ok]
+        counters[COUNTER_CANDIDATES] += len(fresh)
+        histogram_ids = self._histogram_ids
+        slots = [histogram_ids[record_id] for record_id in fresh]
+        histograms = self._histograms
+        query_histogram = encode_histogram(record.length_histogram)
+        bound = self._probe_filter.nsld_bound_encoded
+        admitted: set[int] = set()
+        for slot, tally in Counter(slots).items():
+            histogram = histograms[slot]
+            length = sum(size * count for size, count in histogram)
+            if nsld_length_lower_bound(query_length, length) > radius:
+                counters[COUNTER_PRUNED_LENGTH] += tally
+            elif bound(query_histogram, histogram, ()) > radius:
+                counters[COUNTER_PRUNED_COUNT] += tally
+            else:
+                admitted.add(slot)
+        survivors = [
+            record_id for record_id, slot in zip(fresh, slots) if slot in admitted
+        ]
 
         single_token_ids: list[int] = []
-        if record.token_count == 1 and survivors.size:
-            singles = token_counts[survivors] == 1
-            single_token_ids = survivors[singles].tolist()
-            survivors = survivors[~singles]
+        if record.token_count == 1:
+            # Single-token pairs: NSLD == NLD of the two tokens, so that
+            # group verifies in one batched call below.
+            single_token_ids = [
+                record_id
+                for record_id in survivors
+                if records[record_id].token_count == 1
+            ]
+            survivors = [
+                record_id
+                for record_id in survivors
+                if records[record_id].token_count != 1
+            ]
 
-        counters[COUNTER_VERIFIED] += int(survivors.size)
-        for record_id in survivors.tolist():
+        counters[COUNTER_VERIFIED] += len(survivors)
+        for record_id in survivors:
             distance = self._nsld_to(record, record_id)
             if known is not None:
                 known[record_id] = distance
             if distance <= radius:
                 results.append((distance, record_id))
 
-        return self._finish_within(record, radius, known, results, single_token_ids)
-
-    def _finish_within(
-        self,
-        record: TokenizedString,
-        radius: float,
-        known: dict[int, float] | None,
-        results: list[tuple[float, int]],
-        single_token_ids: list[int],
-    ) -> list[tuple[int, float]]:
-        """Shared tail of both probe paths: the batched single-token group,
-        then the oracle's ``(distance, record_id)`` ordering."""
         if single_token_ids:
-            # Single-token records: NSLD == NLD of the two tokens, so the
-            # whole group verifies in one batched call.
-            records = self._records
             strings = [record.tokens[0]] + [
                 records[record_id].tokens[0] for record_id in single_token_ids
             ]
             pairs = [(0, position + 1) for position in range(len(single_token_ids))]
             distances = verify_nld_pairs(
-                pairs, strings, radius, backend=self.backend, counters=self.counters
+                pairs, strings, radius, backend=self.backend, counters=counters
             )
             for record_id, distance in zip(single_token_ids, distances):
                 if distance is not None:
@@ -818,6 +708,16 @@ class SimilarityIndex:
 
         results.sort()
         return [(record_id, distance) for distance, record_id in results]
+
+    def _knn_hits(
+        self, entry: str, args: tuple, processes: int = 0
+    ) -> list[tuple[int, float]]:
+        """Run a metric-tree entry point (``_shard_topk_knn`` /
+        ``_shard_within_knn``) here; the router scatters and merges it."""
+        return getattr(self, entry)(*args)
+
+    def _fuzzy_index(self):
+        return self._knn_index("fuzzymatch")
 
     def _nsld_to(self, record: TokenizedString, record_id: int) -> float:
         """Exact NSLD between a prepared query and an indexed record.
@@ -837,39 +737,21 @@ class SimilarityIndex:
 
     # -- shard-router entry points ----------------------------------------------
     #
-    # The :class:`repro.shard.ShardedIndex` router reconstructs the
-    # serial algorithms *globally* (seeding, radius expansion, caching,
+    # The :class:`repro.shard.ShardedIndex` router runs the serving
+    # drivers above *globally* (seeding, radius expansion, caching,
     # counter bumps all happen at the router), so the per-shard pieces
-    # it scatters -- in-process or to pool workers -- must be cache-free
-    # and, where the router does the metering itself, counter-free.
-    # They speak local record ids; the router owns the global mapping.
+    # it scatters -- in-process or to pool workers -- take the query as
+    # a string, are cache-free and, where the router does the metering
+    # itself, counter-free.  They speak local record ids; the router
+    # owns the global mapping.
 
-    def _shard_overlap(self, query: str) -> dict[int, int]:
-        """Distinct-query-token overlap per local record id (no counters).
+    def _shard_overlap(self, query: str) -> Counter:
+        """:meth:`_overlap` for a query string (no counters)."""
+        return self._overlap(self._probe(query))
 
-        The router merges these disjoint per-shard dicts into the global
-        overlap ranking that seeds :meth:`_topk_one`'s search radius.
-        """
-        _, token_ids = self._prepare(query)
-        lookup = self._token_postings.lookup_ref()
-        postings = self._token_postings.postings
-        overlap: Counter = Counter()
-        for token_id in set(token_ids):
-            signature_id = lookup(token_id)
-            if signature_id is not None:
-                overlap.update(postings[signature_id])
-        return dict(overlap)
-
-    def _shard_verify(
-        self, query: str, record_ids: Sequence[int]
-    ) -> list[tuple[int, float]]:
-        """Exact NSLD to each listed local record (no counter bumps --
-        the router charges the canonical seed counters itself)."""
-        record, _ = self._prepare(query)
-        return [
-            (record_id, self._nsld_to(record, record_id))
-            for record_id in record_ids
-        ]
+    def _shard_verify(self, query: str, record_ids: Sequence[int]) -> dict[int, float]:
+        """:meth:`_verify` for a query string (no counters)."""
+        return self._verify(self._probe(query), record_ids)
 
     def _shard_within(
         self,
@@ -886,11 +768,11 @@ class SimilarityIndex:
         distances this pass verified, so the router can extend its
         global memo across expansion rounds and pool round-trips.
         """
-        record, _ = self._prepare(query)
+        probe = self._probe(query)
         if known is None:
-            return self._within_ids(record, radius), {}
+            return self._within_ids(probe, radius), {}
         memo = dict(known)
-        hits = self._within_ids(record, radius, memo)
+        hits = self._within_ids(probe, radius, memo)
         fresh = {
             record_id: distance
             for record_id, distance in memo.items()
@@ -901,23 +783,31 @@ class SimilarityIndex:
     def _shard_topk_knn(
         self, query: str, k: int, method: str
     ) -> list[tuple[int, float]]:
-        """This shard's canonical metric-tree top-k as local-id pairs.
+        """Metric-tree top-k under the canonical ``(distance, id)`` order.
 
-        The global canonical top-k is a sub-multiset of the per-shard
-        canonical top-k lists (the standard scatter-gather merge
-        property), so the router can sort the union by ``(distance,
-        global id)`` and keep ``k``.
+        The trees themselves break distance ties by traversal order --
+        an artifact of insertion layout that no scatter-gather merge can
+        reproduce across shard boundaries.  Serving canonicalizes: take
+        the tree's ``k`` best to learn the k-th distance, close the tie
+        set with a ``within`` sweep at that distance, and keep the first
+        ``k`` under ``(distance, record id)`` -- the same tie-break every
+        cascade path already uses.  The global canonical top-k is then a
+        sub-multiset of the per-shard lists, so the router can sort their
+        union by ``(distance, global id)`` and keep ``k``.
         """
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        return self._canonical_knn_topk(backend_index, record, k)
+        record, _ = self._probe(query)
+        neighbors = self._knn_index(method).nearest(record, k)
+        if not neighbors:
+            return []
+        bound = max(distance for _, distance in neighbors)
+        return self._shard_within_knn(query, bound, method)[:k]
 
     def _shard_within_knn(
         self, query: str, radius: float, method: str
     ) -> list[tuple[int, float]]:
-        """This shard's metric-tree range hits as local-id pairs."""
+        """Metric-tree range hits as ``(distance, id)``-sorted id pairs."""
         backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
+        record, _ = self._probe(query)
         return sorted(
             (
                 (int(record_id), float(distance))
@@ -927,64 +817,6 @@ class SimilarityIndex:
         )
 
     # -- metric-space serving backends ------------------------------------------
-
-    def _knn_topk(self, query: str, k: int, method: str) -> list[tuple[str, float]]:
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        if method == "fuzzymatch":
-            return [
-                (" ".join(tokens), score)
-                for tokens, score in backend_index.query(list(record.tokens), k=k)
-            ]
-        return [
-            (self._names[record_id], distance)
-            for record_id, distance in self._canonical_knn_topk(
-                backend_index, record, k
-            )
-        ]
-
-    @staticmethod
-    def _canonical_knn_topk(
-        backend_index, record: TokenizedString, k: int
-    ) -> list[tuple[int, float]]:
-        """Metric-tree top-k under the canonical ``(distance, id)`` order.
-
-        The trees themselves break distance ties by traversal order --
-        an artifact of insertion layout that no scatter-gather merge can
-        reproduce across shard boundaries.  Serving canonicalizes: take
-        the tree's ``k`` best to learn the k-th distance, close the tie
-        set with a ``within`` sweep at that distance, and keep the first
-        ``k`` under ``(distance, record id)`` -- the same tie-break every
-        cascade path already uses.
-        """
-        neighbors = backend_index.nearest(record, k)
-        if not neighbors:
-            return []
-        bound = max(distance for _, distance in neighbors)
-        closed = sorted(
-            (
-                (int(record_id), float(distance))
-                for record_id, distance in backend_index.within(record, bound)
-            ),
-            key=lambda hit: (hit[1], hit[0]),
-        )
-        return closed[:k]
-
-    def _knn_within(
-        self, query: str, radius: float, method: str
-    ) -> list[tuple[str, float]]:
-        backend_index = self._knn_index(method)
-        record, _ = self._prepare(query)
-        return [
-            (self._names[record_id], distance)
-            for record_id, distance in sorted(
-                (
-                    (int(record_id), float(distance))
-                    for record_id, distance in backend_index.within(record, radius)
-                ),
-                key=lambda hit: (hit[1], hit[0]),
-            )
-        ]
 
     def _knn_index(self, method: str):
         from repro.api.registry import validate_choice

@@ -113,6 +113,15 @@ def resolve_snapshot(token: str):
         ) from None
 
 
+def _counter_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
+    """The counters that moved from ``before`` to ``after``, by how much."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in after.items()
+        if value != before.get(name, 0)
+    }
+
+
 def _serve_chunk(
     payload: tuple[str, str, list[str], dict],
 ) -> tuple[list, dict[str, int]]:
@@ -127,12 +136,7 @@ def _serve_chunk(
     before = dict(index.counters)
     serve = getattr(index, f"_{operation}_one")
     results = [serve(query, **kwargs) for query in queries]
-    delta = {
-        name: value - before.get(name, 0)
-        for name, value in index.counters.items()
-        if value != before.get(name, 0)
-    }
-    return results, delta
+    return results, _counter_delta(before, index.counters)
 
 
 def serve_batch(

@@ -34,11 +34,12 @@ approximate:
   the oracle's exactly -- and a length-pruned shard would have
   contributed an empty window slice, making the skip counter-neutral;
 * the top-k search (seeding, radius schedule, expansion memo) is
-  re-run *globally* at the router from merged per-shard overlap and
-  verification primitives, not approximated by merging per-shard top-k
-  answers;
+  re-run *globally* at the router -- it is the single index's own
+  driver, shared verbatim, over merged per-shard overlap, verification
+  and ``within`` primitives -- not approximated by merging per-shard
+  top-k answers;
 * metric-tree results are canonicalized to ``(distance, id)`` at the
-  serving layer (see ``SimilarityIndex._canonical_knn_topk``) because
+  serving layer (see ``SimilarityIndex._shard_topk_knn``) because
   the trees' traversal-order tie-break cannot survive a shard merge;
 * ``fuzzymatch`` scores depend on corpus-global token weights, so it is
   served from one router-held global index rather than sharded;
@@ -53,43 +54,36 @@ Routing observability (``shards_probed`` / ``shards_pruned`` /
 construction it must NOT perturb :attr:`counters`, which equal the
 oracle's.
 """
-
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from repro.candidates import COUNTER_CANDIDATES, COUNTER_VERIFIED, new_counters
+from repro.candidates import new_counters
+from repro.runtime.pool import in_worker_process, resilient_pool_map
 from repro.service.cache import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, LRUCache
-from repro.service.index import _MIN_SEED_CAP, _SEED_FACTOR, SimilarityIndex
+from repro.service.index import SimilarityIndex
+from repro.service.sharing import _counter_delta, resolve_snapshot
 from repro.shard.placement import build_placement
 from repro.tokenize import Tokenizer
 
 __all__ = ["ShardedIndex"]
 
-_MISS = object()
 
-
-def _shard_calls(payload):
-    """Pool-worker entry point: run a batch of router calls on one shard.
-
-    ``payload`` is ``(publish_token, [(method_name, args), ...])``; the
-    worker resolves its local snapshot copy, runs the calls in order and
-    returns the results plus the shard's counter delta (the cascade
-    tallies the calls produced), mirroring ``sharing._serve_chunk``.
-    """
-    from repro.service.sharing import resolve_snapshot
-
-    token, batch = payload
-    shard = resolve_snapshot(token)
+def _run_call(shard, call: tuple[str, tuple]):
+    """Run one ``(method name, args)`` router call on a shard; return its
+    result plus the shard's counter delta (the cascade tallies it made)."""
+    method, args = call
     before = dict(shard.counters)
-    results = [getattr(shard, method)(*args) for method, args in batch]
-    delta = {
-        name: value - before.get(name, 0)
-        for name, value in shard.counters.items()
-        if value != before.get(name, 0)
-    }
-    return results, delta
+    result = getattr(shard, method)(*args)
+    return result, _counter_delta(before, shard.counters)
+
+
+def _shard_call(payload):
+    """Pool-worker entry point: :func:`_run_call` against the worker's
+    copy of a published shard; ``payload`` is ``(publish_token, call)``."""
+    token, call = payload
+    return _run_call(resolve_snapshot(token), call)
 
 
 class ShardedIndex:
@@ -242,17 +236,13 @@ class ShardedIndex:
         """Append routed to the owning shards; same idempotency contract
         as :meth:`SimilarityIndex.append` (``base`` names the global
         record count the caller saw; exact replays are no-ops)."""
+        names = list(names)  # one-shot iterables are read exactly once
         if base is not None and self._check_append_base(names, base):
             return
-        records = [self.tokenizer.tokenize(name) for name in names]
-        self._place(list(names), records)
+        self._place(names, [self.tokenizer.tokenize(name) for name in names])
         if names:
             self._cache.clear()
             self._global_knn.clear()
-
-    # Same records/names shape as SimilarityIndex, so the replay check is
-    # shared verbatim rather than re-stated.
-    _check_append_base = SimilarityIndex._check_append_base
 
     def stats(self) -> dict[str, int]:
         """Aggregate size snapshot plus router-level cache size."""
@@ -295,141 +285,6 @@ class ShardedIndex:
         for shard in self.shards:
             shard.unpublish()
 
-    # -- result cache (router-owned; keys identical to the serial index) --------
-
-    def _cache_get(self, key):
-        value = self._cache.get(key, _MISS)
-        if value is _MISS:
-            self.counters[COUNTER_CACHE_MISSES] += 1
-            return None
-        self.counters[COUNTER_CACHE_HITS] += 1
-        return value
-
-    def _cache_put(self, key, value) -> None:
-        self._cache.put(key, value)
-
-    # -- scatter-gather core -----------------------------------------------------
-
-    def _scatter(
-        self, calls: dict[int, list[tuple[str, tuple]]], processes: int
-    ) -> dict[int, list]:
-        """Run per-shard call batches, in-process or on the shared pool.
-
-        ``calls`` maps shard index -> ``[(method name, args), ...]``;
-        the return maps shard index -> the batch's results, and every
-        shard's counter delta is merged into :attr:`counters` (this is
-        what makes the summed cascade tallies oracle-equal).  Pooling
-        fans *shards* out per request -- the serve loop stays serial
-        over queries so router cache semantics match the serial index
-        exactly, duplicates and LRU recency included.
-        """
-        from repro.runtime.pool import in_worker_process, resilient_pool_map
-
-        items = [(index, batch) for index, batch in calls.items() if batch]
-        gathered: dict[int, list] = {}
-        if processes > 1 and len(items) > 1 and not in_worker_process():
-            payloads = [
-                (self.shards[index].ensure_published(), batch)
-                for index, batch in items
-            ]
-            outcomes = resilient_pool_map(
-                _shard_calls,
-                payloads,
-                min(processes, len(items)),
-                label="shard scatter",
-            )
-            for (index, _), (results, delta) in zip(items, outcomes):
-                gathered[index] = results
-                self._merge_delta(delta)
-            return gathered
-        for index, batch in items:
-            shard = self.shards[index]
-            before = dict(shard.counters)
-            gathered[index] = [
-                getattr(shard, method)(*args) for method, args in batch
-            ]
-            self._merge_delta(
-                {
-                    name: value - before.get(name, 0)
-                    for name, value in shard.counters.items()
-                    if value != before.get(name, 0)
-                }
-            )
-        return gathered
-
-    def _merge_delta(self, delta: dict[str, int]) -> None:
-        counters = self.counters
-        for name, value in delta.items():
-            counters[name] = counters.get(name, 0) + value
-
-    def _plan_within(self, aggregate_length: int, radius: float) -> list[int]:
-        """Shard indexes whose length range intersects the Lemma 6 window.
-
-        The pruning decision uses each shard's *actual* held range, not
-        the placement's nominal boundaries, so correctness is placement-
-        independent; a pruned shard's window slice would have been empty,
-        making the skip invisible to :attr:`counters`.  Every shard is
-        tallied probed or pruned in :attr:`routing` per pass.
-        """
-        if radius >= 1.0:
-            low, high = None, None
-        else:
-            low = math.floor((1.0 - radius) * aggregate_length)
-            high = math.ceil(aggregate_length / (1.0 - radius))
-        probed: list[int] = []
-        for index, shard in enumerate(self.shards):
-            held = shard.length_range()
-            if held is not None and (
-                low is None or (held[1] >= low and held[0] <= high)
-            ):
-                probed.append(index)
-                self.routing["shards_probed"] += 1
-            else:
-                self.routing["shards_pruned"] += 1
-        return probed
-
-    def _within_global(
-        self,
-        query: str,
-        radius: float,
-        known: dict[int, float] | None,
-        processes: int,
-    ) -> list[tuple[int, float]]:
-        """One global ``within`` pass: plan, scatter, merge.
-
-        Returns global ``(record id, distance)`` hits under the oracle's
-        ``(distance, id)`` order; when ``known`` is given (the top-k
-        expansion memo, global ids) it is sliced per shard on the way
-        out and extended with the fresh exact distances on the way back.
-        """
-        record = self.tokenizer.tokenize(query)
-        probed = self._plan_within(record.aggregate_length, radius)
-        locations = self._locations
-        calls: dict[int, list[tuple[str, tuple]]] = {}
-        for index in probed:
-            local_known = None
-            if known is not None:
-                local_known = {}
-                for global_id, distance in known.items():
-                    shard_index, local_id = locations[global_id]
-                    if shard_index == index:
-                        local_known[local_id] = distance
-            calls[index] = [("_shard_within", (query, radius, local_known))]
-        gathered = self._scatter(calls, processes)
-        merged: list[tuple[float, int]] = []
-        for index in probed:
-            hits, fresh = gathered[index][0]
-            globals_ = self._shard_ids[index]
-            merged.extend((distance, globals_[local]) for local, distance in hits)
-            if known is not None:
-                for local, distance in fresh.items():
-                    known[globals_[local]] = distance
-        merged.sort()
-        return [(global_id, distance) for distance, global_id in merged]
-
-    def _nonempty(self) -> list[int]:
-        return [index for index, shard in enumerate(self.shards) if len(shard)]
-
     # -- serving ---------------------------------------------------------------
 
     def topk(
@@ -471,193 +326,167 @@ class ShardedIndex:
             for query in queries
         ]
 
-    def join(
-        self,
-        threshold: float = 0.1,
-        max_token_frequency: int | None = 1000,
-        n_machines: int = 10,
-        engine: str = "auto",
-        **config_overrides,
-    ):
-        """TSJ self-join of the global corpus, byte-identical to
-        :meth:`SimilarityIndex.join` (same cache key, same report, same
-        counters and simulated seconds).  The join's signature
-        partitioning is orthogonal to record placement, so it runs over
-        the global record list and scatters through the existing TSJ
-        ``engine`` fan-out rather than per shard.
+    # The single index's drivers, shared verbatim: this router holds the
+    # same cache/counter/name/record state and implements the probe
+    # primitives below by scatter-gather, so results, cache keys and
+    # counters cannot drift from the 1-index oracle.
+    _check_append_base = SimilarityIndex._check_append_base
+    _cache_get = SimilarityIndex._cache_get
+    _cache_put = SimilarityIndex._cache_put
+    join = SimilarityIndex.join
+    _topk_one = SimilarityIndex._topk_one
+    _within_one = SimilarityIndex._within_one
+    _cascade_topk = SimilarityIndex._cascade_topk
+    _fuzzy_topk = SimilarityIndex._fuzzy_topk
+
+    # -- scatter-gather primitives ------------------------------------------------
+
+    def _scatter(
+        self, calls: dict[int, tuple[str, tuple]], processes: int
+    ) -> list[tuple[list[int], object]]:
+        """Run one ``(method name, args)`` call per listed shard.
+
+        Returns ``(shard's global ids, result)`` pairs in ``calls``
+        order, and merges every shard's counter delta into
+        :attr:`counters` (this is what makes the summed cascade tallies
+        oracle-equal).  ``processes > 1`` runs the calls on the shared
+        pool: pooling fans *shards* out per request -- the serve loop
+        stays serial over queries so router cache semantics match the
+        serial index exactly, duplicates and LRU recency included.
         """
-        key = (
-            "join",
-            threshold,
-            max_token_frequency,
-            n_machines,
-            tuple(sorted(config_overrides.items())),
-        )
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        from repro.core.api import join_records
-
-        report = join_records(
-            self._names,
-            self._records,
-            threshold=threshold,
-            max_token_frequency=max_token_frequency,
-            n_machines=n_machines,
-            engine=engine,
-            **config_overrides,
-        )
-        self._cache_put(key, report)
-        return report
-
-    # -- per-query routing ------------------------------------------------------
-
-    def _topk_one(
-        self, query: str, k: int, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        key = ("topk", method, query, k)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)
-        if method == "fuzzymatch":
-            result = self._fuzzy_topk(query, k)
-        elif method != "cascade":
-            result = self._knn_topk_global(query, k, method, processes)
-        else:
-            result = self._cascade_topk(query, k, processes)
-        self._cache_put(key, result)
-        return list(result)
-
-    def _within_one(
-        self, query: str, radius: float, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        key = ("within", method, query, radius)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return list(cached)
-        if method != "cascade":
-            result = self._knn_within_global(query, radius, method, processes)
-        else:
-            result = [
-                (self._names[global_id], distance)
-                for global_id, distance in self._within_global(
-                    query, radius, None, processes
-                )
+        items = list(calls.items())
+        if processes > 1 and len(items) > 1 and not in_worker_process():
+            payloads = [
+                (self.shards[index].ensure_published(), call) for index, call in items
             ]
-        self._cache_put(key, result)
-        return list(result)
-
-    def _cascade_topk(
-        self, query: str, k: int, processes: int
-    ) -> list[tuple[str, float]]:
-        """The serial top-k search re-run globally at the router.
-
-        Seeding (global overlap ranking, capped verification), the
-        radius schedule and the expansion memo are the serial
-        algorithm's, verbatim, over merged per-shard primitives -- which
-        is what makes results *and counters* oracle-equal rather than a
-        merge approximation.
-        """
-        k_effective = min(k, len(self._records))
-        if k_effective == 0:
-            return []
-        # Seed: merge the disjoint per-shard overlap tallies, rank by
-        # (-overlap, global id), verify the capped prefix where it lives.
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {index: [("_shard_overlap", (query,))] for index in nonempty},
-            processes,
-        )
-        overlap: dict[int, int] = {}
-        for index in nonempty:
-            globals_ = self._shard_ids[index]
-            for local, count in gathered[index][0].items():
-                overlap[globals_[local]] = count
-        cap = max(_MIN_SEED_CAP, _SEED_FACTOR * k_effective)
-        ranked = sorted(overlap.items(), key=lambda item: (-item[1], item[0]))[:cap]
-        verify_calls: dict[int, list[tuple[str, tuple]]] = {}
-        locations = self._locations
-        by_shard: dict[int, list[int]] = {}
-        for global_id, _ in ranked:
-            shard_index, local_id = locations[global_id]
-            by_shard.setdefault(shard_index, []).append(local_id)
-        for shard_index, local_ids in by_shard.items():
-            verify_calls[shard_index] = [("_shard_verify", (query, local_ids))]
-        gathered = self._scatter(verify_calls, processes)
-        known: dict[int, float] = {}
-        for shard_index in by_shard:
-            globals_ = self._shard_ids[shard_index]
-            for local, distance in gathered[shard_index][0]:
-                known[globals_[local]] = distance
-        # The serial path charges candidates+verified per seed; the
-        # shard primitives are counter-free so the router charges here.
-        self.counters[COUNTER_CANDIDATES] += len(ranked)
-        self.counters[COUNTER_VERIFIED] += len(ranked)
-        if len(known) >= k_effective:
-            radius = sorted(known.values())[k_effective - 1]
+            outcomes = resilient_pool_map(
+                _shard_call, payloads, min(processes, len(items)), label="shard scatter"
+            )
         else:
-            radius = 0.25
-        while True:
-            hits = self._within_global(query, radius, known, processes)
-            if len(hits) >= k_effective or radius >= 1.0:
-                break
-            radius = min(1.0, radius * 2.0)
-        return [
-            (self._names[global_id], distance)
-            for global_id, distance in hits[:k_effective]
-        ]
+            outcomes = [_run_call(self.shards[index], call) for index, call in items]
+        counters = self.counters
+        gathered = []
+        for (index, _), (result, delta) in zip(items, outcomes):
+            for name, value in delta.items():
+                counters[name] = counters.get(name, 0) + value
+            gathered.append((self._shard_ids[index], result))
+        return gathered
 
-    def _knn_topk_global(
-        self, query: str, k: int, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        """Merge per-shard canonical metric-tree top-k lists.
+    def _nonempty(self) -> list[int]:
+        return [index for index, shard in enumerate(self.shards) if len(shard)]
 
-        Each shard's canonical ``(distance, local id)`` top-k restricts
-        the global canonical order (local-id order equals global-id
-        order within a shard), so the global top-k is contained in the
-        union: sort the mapped union by ``(distance, global id)``, keep
-        ``k``.
+    def _plan_within(self, aggregate_length: int, radius: float) -> list[int]:
+        """Shard indexes whose length range intersects the Lemma 6 window.
+
+        The pruning decision uses each shard's *actual* held range, not
+        the placement's nominal boundaries, so correctness is placement-
+        independent; a pruned shard's window slice would have been empty,
+        making the skip invisible to :attr:`counters`.  Every shard is
+        tallied probed or pruned in :attr:`routing` per pass.
         """
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {index: [("_shard_topk_knn", (query, k, method))] for index in nonempty},
-            processes,
-        )
-        merged: list[tuple[float, int]] = []
-        for index in nonempty:
-            globals_ = self._shard_ids[index]
-            merged.extend(
-                (distance, globals_[local]) for local, distance in gathered[index][0]
-            )
-        merged.sort()
-        return [
-            (self._names[global_id], distance)
-            for distance, global_id in merged[:k]
-        ]
+        if radius >= 1.0:
+            low, high = None, None
+        else:
+            low = math.floor((1.0 - radius) * aggregate_length)
+            high = math.ceil(aggregate_length / (1.0 - radius))
+        probed: list[int] = []
+        for index, shard in enumerate(self.shards):
+            held = shard.length_range()
+            if held is not None and (
+                low is None or (held[1] >= low and held[0] <= high)
+            ):
+                probed.append(index)
+                self.routing["shards_probed"] += 1
+            else:
+                self.routing["shards_pruned"] += 1
+        return probed
 
-    def _knn_within_global(
-        self, query: str, radius: float, method: str, processes: int
-    ) -> list[tuple[str, float]]:
-        nonempty = self._nonempty()
-        gathered = self._scatter(
-            {
-                index: [("_shard_within_knn", (query, radius, method))]
-                for index in nonempty
-            },
-            processes,
-        )
+    def _probe(self, query: str, processes: int = 0) -> tuple[str, int]:
+        """Shards prepare queries themselves; the router's probe is the
+        raw query plus the scatter width."""
+        return query, processes
+
+    def _overlap(self, probe) -> dict[int, int]:
+        """The merged per-shard postings overlaps, under global ids (the
+        shards' record sets are disjoint)."""
+        query, processes = probe
+        calls = {index: ("_shard_overlap", (query,)) for index in self._nonempty()}
+        return {
+            globals_[local]: count
+            for globals_, overlap in self._scatter(calls, processes)
+            for local, count in overlap.items()
+        }
+
+    def _verify(self, probe, record_ids: Sequence[int]) -> dict[int, float]:
+        """Exact distances to global records, verified where they live."""
+        query, processes = probe
+        by_shard: dict[int, list[int]] = {}
+        for global_id in record_ids:
+            shard_index, local_id = self._locations[global_id]
+            by_shard.setdefault(shard_index, []).append(local_id)
+        calls = {
+            index: ("_shard_verify", (query, local_ids))
+            for index, local_ids in by_shard.items()
+        }
+        return {
+            globals_[local]: distance
+            for globals_, distances in self._scatter(calls, processes)
+            for local, distance in distances.items()
+        }
+
+    def _within_ids(
+        self, probe, radius: float, known: dict[int, float] | None = None
+    ) -> list[tuple[int, float]]:
+        """One global ``within`` pass: plan, scatter, merge.
+
+        Returns global ``(record id, distance)`` hits under the oracle's
+        ``(distance, id)`` order; when ``known`` is given (the top-k
+        expansion memo, global ids) it is sliced per shard on the way
+        out and extended with the fresh exact distances on the way back.
+        """
+        query, processes = probe
+        record = self.tokenizer.tokenize(query)
+        calls: dict[int, tuple[str, tuple]] = {}
+        for index in self._plan_within(record.aggregate_length, radius):
+            local_known = None
+            if known is not None:
+                local_known = {}
+                for global_id, distance in known.items():
+                    shard_index, local_id = self._locations[global_id]
+                    if shard_index == index:
+                        local_known[local_id] = distance
+            calls[index] = ("_shard_within", (query, radius, local_known))
         merged: list[tuple[float, int]] = []
-        for index in nonempty:
-            globals_ = self._shard_ids[index]
-            merged.extend(
-                (distance, globals_[local]) for local, distance in gathered[index][0]
-            )
+        for globals_, (hits, fresh) in self._scatter(calls, processes):
+            merged.extend((distance, globals_[local]) for local, distance in hits)
+            if known is not None:
+                for local, distance in fresh.items():
+                    known[globals_[local]] = distance
         merged.sort()
-        return [
-            (self._names[global_id], distance) for distance, global_id in merged
-        ]
+        return [(global_id, distance) for distance, global_id in merged]
+
+    def _knn_hits(
+        self, entry: str, args: tuple, processes: int = 0
+    ) -> list[tuple[int, float]]:
+        """Merge a metric-tree entry point's per-shard canonical lists.
+
+        Local-id order equals global-id order within a shard, so each
+        shard's ``(distance, local id)`` list restricts the global
+        canonical order: sorting the mapped union by ``(distance, global
+        id)`` gives the global range hits, and its first ``k`` the global
+        canonical top-k.
+        """
+        calls = {index: (entry, args) for index in self._nonempty()}
+        merged = sorted(
+            (distance, globals_[local])
+            for globals_, hits in self._scatter(calls, processes)
+            for local, distance in hits
+        )
+        return [(global_id, distance) for distance, global_id in merged]
 
     def _fuzzy_index(self):
+        """The corpus-global FuzzyMatch index: FMS weights are corpus-
+        global, so fuzzymatch cannot shard."""
         built = self._global_knn.get("fuzzymatch")
         if built is None:
             from repro.knn import FuzzyMatchIndex
@@ -667,14 +496,3 @@ class ShardedIndex:
             )
             self._global_knn["fuzzymatch"] = built
         return built
-
-    def _fuzzy_topk(self, query: str, k: int) -> list[tuple[str, float]]:
-        """FMS top-k from the corpus-global index (weights are corpus-
-        global, so fuzzymatch cannot shard; identical to the serial
-        index's fuzzymatch branch by construction)."""
-        built = self._fuzzy_index()
-        record = self.tokenizer.tokenize(query)
-        return [
-            (" ".join(tokens), score)
-            for tokens, score in built.query(list(record.tokens), k=k)
-        ]

@@ -43,12 +43,11 @@ import json
 import os
 
 from repro.api.errors import CorruptSnapshotError, WalReplayError
-from repro.faults import FaultInjected, fault_point
 from repro.shard.index import ShardedIndex
 from repro.shard.placement import placement_from_manifest
 from repro.store.format import read_snapshot_file, write_snapshot_file
 from repro.store.snapshot import index_from_sections, index_to_sections
-from repro.store.store import SNAPSHOT_NAME, WAL_NAME
+from repro.store.store import SNAPSHOT_NAME, WAL_NAME, SnapshotStore
 from repro.store.wal import WriteAheadLog
 
 __all__ = ["ShardedSnapshotStore", "is_sharded_store"]
@@ -148,21 +147,11 @@ class ShardedSnapshotStore:
             except OSError:
                 pass
 
-    def log_append(self, names, base: int):
-        """Durably log one append (global ``base``) before the mutation."""
-        record = self.wal.append(names, base)
-        self._wal_records += 1
-        return record
-
-    def maybe_compact(self, index: ShardedIndex) -> bool:
-        """Cut a fresh sharded snapshot when the WAL outgrows its thresholds."""
-        if (
-            self._wal_records >= self.compact_after_records
-            or self.wal.size_bytes() >= self.compact_after_bytes
-        ):
-            self.save(index)
-            return True
-        return False
+    # One global WAL under global ``base`` offsets, so the unsharded
+    # store's write path and replay rule apply verbatim.
+    log_append = SnapshotStore.log_append
+    maybe_compact = SnapshotStore.maybe_compact
+    _replay_into = SnapshotStore._replay_into
 
     # -- the read path ----------------------------------------------------------
 
@@ -201,29 +190,6 @@ class ShardedSnapshotStore:
         index = self._replay_into(index, manifest["snapshot_records"])
         self._generation = manifest["generation"]
         self.loaded_from_snapshot = True
-        return index
-
-    def _replay_into(self, index: ShardedIndex, snapshot_records: int):
-        """WAL replay with the unsharded skip/gap rules, batched."""
-        records = self.wal.replay()
-        pending: list[str] = []
-        try:
-            for record in records:
-                fault_point("store.replay")
-                if record.base < snapshot_records:
-                    continue  # the snapshot generation already covers it
-                if record.base != snapshot_records + len(pending):
-                    raise WalReplayError(
-                        f"append log {self.wal.path!r} has a gap: record "
-                        f"expects {record.base} records, snapshot+replay "
-                        f"holds {snapshot_records + len(pending)}"
-                    )
-                pending.extend(record.names)
-        except FaultInjected as exc:
-            raise WalReplayError(f"replay failed: {exc}") from exc
-        if pending:
-            index.append(pending)
-        self._wal_records = len(records)
         return index
 
     def _read_manifest(self) -> dict:
@@ -355,8 +321,6 @@ class ShardedSnapshotStore:
         replay rules, so loading through it applies every acknowledged
         append; saving sharded then retires ``index.snap``.
         """
-        from repro.store import SnapshotStore
-
         snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
         if not os.path.exists(snapshot_path):
             return None

@@ -11,10 +11,10 @@ Deliberately *not* persisted, because it is cheap, lazily built, or
 process-local: the Myers ``Peq`` masks (lazy per token on first use;
 results and simulated costs are identical by construction since the
 vocab memo re-charges metered work on every hit), the encoded
-histograms (recomputed from the restored records in one pass), the
-result cache, metric-tree backends, numpy probe arrays and pool
-publication tokens (all already excluded from pickling for the same
-reason).
+histograms and the probe's dense histogram ids (recomputed from the
+restored records in one pass), the result cache, metric-tree backends
+and pool publication tokens (the last three already excluded from
+pickling for the same reason).
 
 Restoration trusts the container's CRCs for byte integrity but still
 cross-checks section shapes against each other (row counts, offset
@@ -184,7 +184,7 @@ def index_from_sections(sections: dict[str, bytes]):
     index._vocab = Vocab(tokens)
     index._token_postings = postings
     index._lengths = lengths
-    index._histograms = histograms
+    index._histogram_ids = [index._histogram_slot(h) for h in histograms]
 
     expected = sorted(
         (record.aggregate_length, record_id)

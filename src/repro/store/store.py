@@ -125,10 +125,21 @@ class SnapshotStore:
         be trusted.  A torn WAL tail is not damage: it is truncated and
         the intact prefix served.
         """
-        sections = read_snapshot_file(self.snapshot_path)
-        index = index_from_sections(sections)
+        index = index_from_sections(read_snapshot_file(self.snapshot_path))
+        self._replay_into(index, len(index))
+        self.loaded_from_snapshot = True
+        return index
+
+    def _replay_into(self, index, snapshot_records: int):
+        """Apply the WAL past a snapshot of ``snapshot_records`` records.
+
+        The replay rule both store layouts share: a record whose
+        ``base`` the snapshot already covers is skipped, one that does
+        not continue the replayed prefix exactly is a gap
+        (:class:`WalReplayError`), and an injected ``store.replay``
+        fault surfaces as the same typed error.
+        """
         records = self.wal.replay()
-        snapshot_records = len(index)
         pending: list[str] = []
         try:
             for record in records:
@@ -149,7 +160,6 @@ class SnapshotStore:
             # tail, not one per logged record.
             index.append(pending)
         self._wal_records = len(records)
-        self.loaded_from_snapshot = True
         return index
 
     def open(

@@ -115,6 +115,10 @@ def test_append_keeps_invariance():
     extra = ["veronika dahl", "x", "a very much longer appended name indeed"]
     serial.append(extra)
     sharded.append(extra)
+    # A one-shot iterable appends exactly like a list.
+    serial.append(name + " jr" for name in extra[:2])
+    sharded.append(name + " jr" for name in extra[:2])
+    assert len(sharded) == len(serial) == len(CORPUS) + 5
     assert sharded.names == serial.names
     assert sharded.topk(["veronika dhal"], k=2) == serial.topk(
         ["veronika dhal"], k=2
