@@ -259,6 +259,12 @@ def main(corpus_size: int = 300) -> None:
                 f"top-3 for 'veronika dhal' served remotely; best: "
                 f"{best_name!r} at NSLD {best_distance:.3f}"
             )
+            # /v1/knn is the CLI ``knn`` shape of the same exact search.
+            knn_hits = client.knn(("veronika dhal",), k=3)
+            assert knn_hits.matches == hits.matches, (
+                f"/v1/knn diverged from /v1/search: {knn_hits.matches}"
+            )
+            print("knn over HTTP: same top-3 as search")
 
             knn = client.run(TopKSpec(queries=("veronika dhal",), k=3))
             print(f"declarative run() round-trip: kind={knn.kind!r}")

@@ -403,31 +403,9 @@ register_join(
 register_search(
     SearchBackend(
         "similarity_index",
-        serve_method="cascade",
-        aliases=("cascade",),
+        # ``vptree`` was a metric-tree backend whose answers were
+        # identical to this one; older clients still send the name.
+        aliases=("cascade", "vptree"),
         description="exact NSLD through the resident candidate pipeline",
-    )
-)
-register_search(
-    SearchBackend(
-        "vptree",
-        serve_method="vptree",
-        description="vantage-point tree over NSLD",
-    )
-)
-register_search(
-    SearchBackend(
-        "bktree",
-        serve_method="bktree",
-        description="BK-tree over the integer SLD",
-    )
-)
-register_search(
-    SearchBackend(
-        "fuzzymatch",
-        serve_method="fuzzymatch",
-        score_kind="similarity",
-        supports_within=False,
-        description="FuzzyMatch FMS top-k (similarity, descending)",
     )
 )

@@ -16,10 +16,9 @@ On top of that sit the two registries behind the declarative front door
   signature, so ``JoinSpec(algorithm="passjoin_k", ...)`` is a uniform
   call;
 * **search backends** (:func:`register_search` / :func:`resolve_search`)
-  -- the serving methods behind ``TopKSpec``/``WithinSpec``
-  (``similarity_index``, ``vptree``, ``bktree``, ``fuzzymatch``), each a
-  :class:`SearchBackend` mapping onto the resident
-  :class:`repro.service.SimilarityIndex`.
+  -- the one serving method behind ``TopKSpec``/``WithinSpec``:
+  ``similarity_index`` (aliases ``cascade`` and ``vptree``), exact NSLD
+  through the resident :class:`repro.service.SimilarityIndex`.
 
 This module imports nothing from the rest of the package at module
 scope except the leaf :mod:`repro.api.errors` (the typed error
@@ -125,17 +124,12 @@ class JoinAlgorithm:
 
 @dataclass(frozen=True)
 class SearchBackend:
-    """A registered serving backend, normalised behind ``TopKSpec`` /
-    ``WithinSpec``."""
+    """A registered ``TopKSpec`` / ``WithinSpec`` method name, answered by
+    the resident :class:`repro.service.SimilarityIndex`."""
 
     name: str
-    #: The :class:`repro.service.SimilarityIndex` ``method=`` selector
-    #: this backend maps onto.
-    serve_method: str
-    score_kind: str = "distance"
-    supports_within: bool = True
     description: str = ""
-    #: Extra ``JoinSpec.method`` spellings accepted for this backend.
+    #: Extra ``method`` spellings accepted for this backend.
     aliases: tuple = field(default=())
 
 
@@ -196,6 +190,5 @@ def resolve_join(name: str) -> JoinAlgorithm:
 def resolve_search(name: str) -> SearchBackend:
     """Look up a search backend (aliases accepted); unknown names raise."""
     _ensure_builtins()
-    canonical = _SEARCH_ALIASES.get(name, name)
-    validate_choice("search method", canonical, search_methods())
-    return _SEARCH[canonical]
+    validate_choice("search method", name, search_methods(include_aliases=True))
+    return _SEARCH[_SEARCH_ALIASES.get(name, name)]

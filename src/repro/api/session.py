@@ -537,28 +537,15 @@ class Session:
         index = corpus.index(
             spec.backend or self.backend, self.cache_size, self.shards, self.placement
         )
-        start = time.perf_counter()
-        index.prepare(backend_entry.serve_method)
-        prepare_seconds = time.perf_counter() - start
-        build_seconds = (corpus.build_seconds - build_before) + prepare_seconds
+        build_seconds = corpus.build_seconds - build_before
 
         counters_before = dict(index.counters)
         queries = list(spec.queries)
         start = time.perf_counter()
         if operation == "topk":
-            rows = index.topk(
-                queries,
-                k=spec.k,
-                method=backend_entry.serve_method,
-                processes=spec.processes,
-            )
+            rows = index.topk(queries, k=spec.k, processes=spec.processes)
         else:
-            rows = index.within(
-                queries,
-                radius=spec.radius,
-                method=backend_entry.serve_method,
-                processes=spec.processes,
-            )
+            rows = index.within(queries, radius=spec.radius, processes=spec.processes)
         query_seconds = time.perf_counter() - start
 
         counters = {
@@ -569,7 +556,6 @@ class Session:
         return ResultSet(
             kind=operation,
             algorithm=backend_entry.name,
-            score_kind=backend_entry.score_kind,
             collection_size=len(corpus.names),
             queries=queries,
             matches=[

@@ -242,12 +242,7 @@ class WithinSpec(_SpecBase):
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        backend = resolve_search(self.method)
-        if not backend.supports_within:
-            raise ValidationError(
-                f"method {backend.name!r} does not support range queries "
-                "(no distance semantics); use TopKSpec"
-            )
+        resolve_search(self.method)
         if self.radius < 0:
             raise ValidationError("radius must be non-negative")
         _normalise_queries(self)

@@ -234,12 +234,7 @@ def _cmd_knn(args: argparse.Namespace) -> int:
         print("-k must be positive")
         return 2
     names = _read_names(args.input)
-    spec = TopKSpec(
-        queries=tuple(args.queries),
-        k=args.k,
-        method="vptree",
-        backend=args.backend,
-    )
+    spec = TopKSpec(queries=tuple(args.queries), k=args.k, backend=args.backend)
     return _emit(Session().run(spec, names=names), args)
 
 
@@ -257,12 +252,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.radius is not None:
         if args.radius < 0:
             print("--radius must be non-negative")
-            return 2
-        if args.method == "fuzzymatch":
-            print(
-                "--radius is not supported with --method fuzzymatch "
-                "(FMS similarity has no range semantics); use top-k mode"
-            )
             return 2
         spec: TopKSpec | WithinSpec = WithinSpec(
             queries=tuple(queries),
@@ -544,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=list(search_methods(include_aliases=True)),
         default="similarity_index",
-        help="serving backend (similarity_index/cascade = exact NSLD "
-        "through the candidate pipeline; vptree/bktree = metric trees; "
-        "fuzzymatch = FMS top-k)",
+        help="serving method: exact NSLD through the candidate pipeline "
+        "(cascade and vptree are aliases of similarity_index)",
     )
     search.add_argument(
         "--processes",

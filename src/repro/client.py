@@ -219,10 +219,9 @@ class ServiceClient:
         names: Sequence[str] | None = None,
         backend: str | None = None,
     ) -> ResultSet:
-        """Nearest neighbours via the metric tree (``POST /v1/knn``)."""
-        spec = TopKSpec(
-            queries=queries, k=k, method="vptree", names=names, backend=backend
-        )
+        """Nearest neighbours (``POST /v1/knn``): the exact NSLD top-k
+        in the CLI ``knn`` shape, the same matches as :meth:`search`."""
+        spec = TopKSpec(queries=queries, k=k, names=names, backend=backend)
         return ResultSet.from_dict(self._request("POST", "/v1/knn", spec.to_dict()))
 
     def append(self, names: Sequence[str], base: int | None = None) -> dict:

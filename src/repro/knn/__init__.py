@@ -16,11 +16,12 @@ Both support range queries (``within``) and k-NN queries (``nearest``),
 and report the number of distance evaluations so tests and benches can
 verify they beat linear scan.
 
-All three indexes are registered search backends of the declarative
-front door (``method="vptree" | "bktree" | "fuzzymatch"`` in
-:class:`repro.TopKSpec` / :class:`repro.WithinSpec`, served from the
-resident :class:`repro.service.SimilarityIndex`; see
-:mod:`repro.api.registry`).
+All three indexes (with :class:`FuzzyMatchIndex`) are a library used
+directly.  The serving stack -- :class:`repro.TopKSpec` /
+:class:`repro.WithinSpec` over the resident
+:class:`repro.service.SimilarityIndex` -- answers with exact NSLD
+through the candidate pipeline only; ``method="vptree"`` survives there
+as an alias of it (see :mod:`repro.api.registry`).
 """
 
 from repro.knn.bktree import BKTree

@@ -14,8 +14,7 @@ Endpoints (all JSON, all answers carry the wire ``"version"`` tag):
 ``POST /v1/join``         a :class:`~repro.api.JoinSpec` payload (``"type"``
                           optional, must be ``"join"`` when present)
 ``POST /v1/search``       a ``topk`` or ``within`` spec (default ``topk``)
-``POST /v1/knn``          a ``topk`` spec defaulting to ``method="vptree"``
-                          (the CLI ``knn`` shape)
+``POST /v1/knn``          a ``topk`` spec (the CLI ``knn`` shape)
 ``POST /v1/run``          any spec with an explicit ``"type"`` tag -- the
                           fully declarative endpoint
 ``POST /v1/append``       ``{"names": [...], "base": <int, optional>}`` --
@@ -238,16 +237,33 @@ class AdmissionGate:
             }
 
 
-#: POST route -> (accepted ``"type"`` tags, defaults injected into the
-#: payload).  ``/v1/run`` accepts every tag but requires one explicitly.
-_POST_ROUTES: dict[str, tuple[tuple[str, ...], dict]] = {
-    "/v1/join": (("join",), {}),
-    "/v1/search": (("topk", "within"), {}),
-    "/v1/knn": (("topk",), {"method": "vptree"}),
-    "/v1/run": ((), {}),
+#: POST route -> accepted ``"type"`` tags, the first being the default.
+#: ``/v1/run`` accepts every tag but requires one explicitly.
+_POST_ROUTES: dict[str, tuple[str, ...]] = {
+    "/v1/join": ("join",),
+    "/v1/search": ("topk", "within"),
+    "/v1/knn": ("topk",),
+    "/v1/run": (),
 }
 
 _GET_ROUTES = ("/v1/health", "/v1/metrics")
+
+
+def _json_object(body: bytes | None, shape: str) -> dict:
+    """Decode a POST body that must be one JSON object; ``shape`` says
+    what to POST in the error messages."""
+    if not body:
+        raise ValidationError(f"request body is empty; POST {shape}")
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"request body must be a JSON object ({shape}), got "
+            f"{type(payload).__name__}"
+        )
+    return payload
 
 
 class SimilarityService:
@@ -330,13 +346,17 @@ class SimilarityService:
 
     # -- endpoints --------------------------------------------------------------
 
-    def _run_spec(self, route: str, body: bytes | None) -> dict:
-        spec = self._parse_spec(route, body)
+    def _execute(self, call, *args, **kwargs):
+        """Run one session call the way every POST route does: admission-
+        gated, past the ``server.run`` fault site, under the run lock."""
         with self.gate.admit(retry_after=self._retry_after()):
             fault_point("server.run")
             with self._run_lock:
-                result = self.session.run(spec)
-        return result.to_dict()
+                return call(*args, **kwargs)
+
+    def _run_spec(self, route: str, body: bytes | None) -> dict:
+        spec = self._parse_spec(route, body)
+        return self._execute(self.session.run, spec).to_dict()
 
     def _append(self, body: bytes | None) -> dict:
         """``POST /v1/append``: grow the session's durable corpus.
@@ -346,18 +366,7 @@ class SimilarityService:
         a crash.  Admission-gated and serialized like every other
         mutating route.
         """
-        if not body:
-            raise ValidationError(
-                'request body is empty; POST {"names": [...]}'
-            )
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                'request body must be a JSON object: {"names": [...]}'
-            )
+        payload = _json_object(body, '{"names": [...]}')
         take_wire_version(payload, "append request")
         names = payload.pop("names", None)
         base = payload.pop("base", None)
@@ -372,10 +381,7 @@ class SimilarityService:
             raise ValidationError('"names" must be a list of strings')
         if base is not None and (not isinstance(base, int) or base < 0):
             raise ValidationError('"base" must be a non-negative integer')
-        with self.gate.admit(retry_after=self._retry_after()):
-            fault_point("server.run")
-            with self._run_lock:
-                total = self.session.append(names, base=base)
+        total = self._execute(self.session.append, names, base=base)
         return {
             "version": WIRE_VERSION,
             "records": total,
@@ -392,18 +398,8 @@ class SimilarityService:
         return min(5.0, max(0.1, mean_seconds))
 
     def _parse_spec(self, route: str, body: bytes | None):
-        if not body:
-            raise ValidationError("request body is empty; POST a JSON spec")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                "request body must be a JSON object (a spec), got "
-                f"{type(payload).__name__}"
-            )
-        accepted, defaults = _POST_ROUTES[route]
+        payload = _json_object(body, "a JSON spec")
+        accepted = _POST_ROUTES[route]
         if accepted:
             payload.setdefault("type", accepted[0])
             if payload["type"] not in accepted:
@@ -412,8 +408,6 @@ class SimilarityService:
                     f"{route} serves [{listed}] specs, got "
                     f"{payload['type']!r}; POST it to /v1/run instead"
                 )
-            for key, value in defaults.items():
-                payload.setdefault(key, value)
         elif "type" not in payload:
             raise ValidationError(
                 '/v1/run requires an explicit "type" tag '
@@ -488,6 +482,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except ValidationError as exc:
+            # The body's framing is unknown: answer, then drop the
+            # connection rather than parse its bytes as the next request.
+            self.close_connection = True
             self._respond(exc.status, exc.to_envelope())
             return
         self._respond(
@@ -504,7 +501,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             size = int(length)
         except ValueError:
-            raise ValidationError(f"invalid Content-Length {length!r}") from None
+            size = -1
+        if size < 0:
+            # A negative size would make ``read`` wait for EOF (-1) or
+            # raise inside the handler (< -1).
+            raise ValidationError(f"invalid Content-Length {length!r}")
         return self.rfile.read(size)
 
     def _respond(self, status: int, payload: dict) -> None:

@@ -20,12 +20,11 @@ from repro.service.cache import (
     COUNTER_CACHE_MISSES,
     LRUCache,
 )
-from repro.service.index import SERVE_METHODS, SimilarityIndex
+from repro.service.index import SimilarityIndex
 
 __all__ = [
     "COUNTER_CACHE_HITS",
     "COUNTER_CACHE_MISSES",
     "LRUCache",
-    "SERVE_METHODS",
     "SimilarityIndex",
 ]

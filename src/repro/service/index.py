@@ -36,10 +36,8 @@ Against that snapshot it serves:
 * a bounded LRU result cache (hits/misses surfaced next to the cascade
   counters) so repeated requests cost a dict probe.
 
-The metric-space indexes (:class:`repro.knn.VPTree`,
-:class:`repro.knn.BKTree`, :class:`repro.knn.FuzzyMatchIndex`) are
-reachable behind the same API via ``method=`` and built lazily over the
-same snapshot.
+Exact NSLD through this candidate pipeline is the only serving method;
+the metric-space indexes of :mod:`repro.knn` are a standalone library.
 
 Snapshots are picklable and can be **published to the shared worker
 pool** (:mod:`repro.service.sharing`): batched ``topk``/``within`` calls
@@ -74,13 +72,10 @@ from repro.candidates import (
     new_counters,
     verify_nld_pairs,
 )
-from repro.distances.setwise import nsld, nsld_length_lower_bound, sld
+from repro.distances.setwise import nsld, nsld_length_lower_bound
 from repro.service.cache import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, LRUCache
 from repro.tokenize import TokenizedString, Tokenizer
 from repro.tsj.jobs import encode_histogram
-
-#: Serving methods: the cascade probe path plus the metric-space indexes.
-SERVE_METHODS = ("cascade", "vptree", "bktree", "fuzzymatch")
 
 #: Upper bound on token-postings seeds fully verified per top-k query
 #: (as a multiple of ``k``, floored at ``_MIN_SEED_CAP``).  Seeding only
@@ -168,8 +163,6 @@ class SimilarityIndex:
         #: and one warm memo -- serves every radius (the threshold field
         #: is unused on this path).
         self._probe_filter = HistogramBoundFilter(0.0, use_lemma10=False)
-        #: Lazily built metric-space serving backends (not pickled).
-        self._knn: dict[str, object] = {}
         #: Stable identity for pool-publication bookkeeping.
         self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
         self._published: str | None = None
@@ -184,9 +177,8 @@ class SimilarityIndex:
         New records extend the vocab interner (masks prebuilt), the token
         postings and the length order incrementally; querying an appended
         index returns exactly what a fresh build over the full collection
-        would (property-tested).  Cached results and lazily built
-        metric-space backends are invalidated, and a pool-published
-        snapshot is re-published on its next pooled serve.
+        would (property-tested).  Cached results are invalidated, and a
+        pool-published snapshot is re-published on its next pooled serve.
 
         ``base`` makes the append **idempotent** under at-least-once
         delivery (the retrying ``/v1/append`` path): it names how many
@@ -222,7 +214,6 @@ class SimilarityIndex:
             # is O(n) element moves each -- quadratic for large builds).
             self._lengths.sort()
             self._cache.clear()
-            self._knn.clear()
             self.unpublish()  # the next pooled serve re-publishes
 
     def _histogram_slot(self, histogram: tuple[tuple[int, int], ...]) -> int:
@@ -315,21 +306,16 @@ class SimilarityIndex:
         }
 
     def prepare(self, *methods: str) -> "SimilarityIndex":
-        """Eagerly build serving backends (otherwise built lazily on first
-        use), so callers can separate build time from query time; returns
-        ``self`` for chaining.  ``"cascade"`` needs no extra build."""
-        for method in methods:
-            if method != "cascade":
-                self._knn_index(method)
+        """Return ``self``: construction already built everything serving
+        needs.  Kept so callers that time build and query apart (the
+        layered benchmark's ``prepare("cascade")``) keep working."""
         return self
 
     # -- pickling / pool publication ------------------------------------------
 
     def __getstate__(self) -> dict:
-        # Metric-space backends hold metric closures (unpicklable) and
-        # rebuild lazily per process; publication tokens are per-process.
+        # Publication tokens are per-process.
         state = dict(self.__dict__)
-        state["_knn"] = {}
         state["_published"] = None
         return state
 
@@ -368,8 +354,8 @@ class SimilarityIndex:
     # are shared verbatim with :class:`repro.shard.ShardedIndex`, which
     # holds the same ``_cache`` / ``counters`` / ``_names`` / ``_records``
     # state and implements the probe primitives (``_probe``,
-    # ``_overlap``, ``_verify``, ``_within_ids``, ``_knn_hits``,
-    # ``_fuzzy_index``) by scatter-gather over its shards.
+    # ``_overlap``, ``_verify``, ``_within_ids``) by scatter-gather over
+    # its shards.
 
     def _cache_get(self, key):
         value = self._cache.get(key, _MISS)
@@ -434,49 +420,30 @@ class SimilarityIndex:
         self,
         queries: Sequence[str] | str,
         k: int = 5,
-        method: str = "cascade",
         processes: int | None = None,
     ) -> list[list[tuple[str, float]]]:
         """The ``k`` best matches per query, one result list per query.
 
-        ``method`` selects the serving backend and its native score:
-
-        * ``"cascade"`` (default) -- exact NSLD through the candidate
-          pipeline; equals the brute-force oracle, ascending distance
-          (ties broken by record id);
-        * ``"vptree"`` -- exact NSLD via the vantage-point tree;
-        * ``"bktree"`` -- exact **SLD** (integer) via the BK-tree;
-        * ``"fuzzymatch"`` -- **FMS similarity, descending** via the
-          FuzzyMatch index (results are token-joined strings).
-
+        Exact NSLD through the candidate pipeline: equals the brute-force
+        oracle, ascending distance, ties broken by record id.
         ``processes > 1`` fans the batch out over the shared worker pool
         against the published snapshot (results identical, see
         :mod:`repro.service.sharing`).
         """
         if k < 1:
             raise ValueError("k must be positive")
-        return self._serve("topk", queries, {"k": k, "method": method}, processes)
+        return self._serve("topk", queries, {"k": k}, processes)
 
     def within(
         self,
         queries: Sequence[str] | str,
         radius: float,
-        method: str = "cascade",
         processes: int | None = None,
     ) -> list[list[tuple[str, float]]]:
-        """All matches within ``radius`` per query (ascending distance).
-
-        ``radius`` is interpreted in the serving method's native metric
-        (NSLD for ``cascade``/``vptree``, SLD for ``bktree``);
-        ``fuzzymatch`` has no range semantics and is rejected.
-        """
+        """All matches within NSLD ``radius`` per query (ascending distance)."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if method == "fuzzymatch":
-            raise ValueError("within() is not defined for the fuzzymatch method")
-        return self._serve(
-            "within", queries, {"radius": radius, "method": method}, processes
-        )
+        return self._serve("within", queries, {"radius": radius}, processes)
 
     def _serve(self, operation, queries, kwargs, processes):
         if isinstance(queries, str):
@@ -488,34 +455,23 @@ class SimilarityIndex:
     # -- per-query serving (also the pool workers' entry points) ----------------
 
     def _topk_one(
-        self, query: str, k: int, method: str = "cascade", processes: int = 0
+        self, query: str, k: int, processes: int = 0
     ) -> list[tuple[str, float]]:
-        key = ("topk", method, query, k)
+        key = ("topk", query, k)
         result = self._cache_get(key)
         if result is None:
-            if method == "fuzzymatch":
-                result = self._fuzzy_topk(query, k)
-            else:
-                if method == "cascade":
-                    hits = self._cascade_topk(self._probe(query, processes), k)
-                else:
-                    args = (query, k, method)
-                    hits = self._knn_hits("_shard_topk_knn", args, processes)[:k]
-                result = [(self._names[record_id], score) for record_id, score in hits]
+            hits = self._cascade_topk(self._probe(query, processes), k)
+            result = [(self._names[record_id], score) for record_id, score in hits]
             self._cache_put(key, result)
         return list(result)  # callers own their copy, never the cache's
 
     def _within_one(
-        self, query: str, radius: float, method: str = "cascade", processes: int = 0
+        self, query: str, radius: float, processes: int = 0
     ) -> list[tuple[str, float]]:
-        key = ("within", method, query, radius)
+        key = ("within", query, radius)
         result = self._cache_get(key)
         if result is None:
-            if method == "cascade":
-                hits = self._within_ids(self._probe(query, processes), radius)
-            else:
-                args = (query, radius, method)
-                hits = self._knn_hits("_shard_within_knn", args, processes)
+            hits = self._within_ids(self._probe(query, processes), radius)
             result = [(self._names[record_id], score) for record_id, score in hits]
             self._cache_put(key, result)
         return list(result)  # callers own their copy, never the cache's
@@ -551,14 +507,6 @@ class SimilarityIndex:
             if len(hits) >= k or radius >= 1.0:
                 return hits[:k]
             radius = min(1.0, radius * 2.0)
-
-    def _fuzzy_topk(self, query: str, k: int) -> list[tuple[str, float]]:
-        """FMS top-k, descending similarity, as token-joined strings."""
-        record = self.tokenizer.tokenize(query)
-        return [
-            (" ".join(tokens), score)
-            for tokens, score in self._fuzzy_index().query(list(record.tokens), k=k)
-        ]
 
     # -- probe primitives ---------------------------------------------------------
 
@@ -709,16 +657,6 @@ class SimilarityIndex:
         results.sort()
         return [(record_id, distance) for distance, record_id in results]
 
-    def _knn_hits(
-        self, entry: str, args: tuple, processes: int = 0
-    ) -> list[tuple[int, float]]:
-        """Run a metric-tree entry point (``_shard_topk_knn`` /
-        ``_shard_within_knn``) here; the router scatters and merges it."""
-        return getattr(self, entry)(*args)
-
-    def _fuzzy_index(self):
-        return self._knn_index("fuzzymatch")
-
     def _nsld_to(self, record: TokenizedString, record_id: int) -> float:
         """Exact NSLD between a prepared query and an indexed record.
 
@@ -779,83 +717,3 @@ class SimilarityIndex:
             if record_id not in known
         }
         return hits, fresh
-
-    def _shard_topk_knn(
-        self, query: str, k: int, method: str
-    ) -> list[tuple[int, float]]:
-        """Metric-tree top-k under the canonical ``(distance, id)`` order.
-
-        The trees themselves break distance ties by traversal order --
-        an artifact of insertion layout that no scatter-gather merge can
-        reproduce across shard boundaries.  Serving canonicalizes: take
-        the tree's ``k`` best to learn the k-th distance, close the tie
-        set with a ``within`` sweep at that distance, and keep the first
-        ``k`` under ``(distance, record id)`` -- the same tie-break every
-        cascade path already uses.  The global canonical top-k is then a
-        sub-multiset of the per-shard lists, so the router can sort their
-        union by ``(distance, global id)`` and keep ``k``.
-        """
-        record, _ = self._probe(query)
-        neighbors = self._knn_index(method).nearest(record, k)
-        if not neighbors:
-            return []
-        bound = max(distance for _, distance in neighbors)
-        return self._shard_within_knn(query, bound, method)[:k]
-
-    def _shard_within_knn(
-        self, query: str, radius: float, method: str
-    ) -> list[tuple[int, float]]:
-        """Metric-tree range hits as ``(distance, id)``-sorted id pairs."""
-        backend_index = self._knn_index(method)
-        record, _ = self._probe(query)
-        return sorted(
-            (
-                (int(record_id), float(distance))
-                for record_id, distance in backend_index.within(record, radius)
-            ),
-            key=lambda hit: (hit[1], hit[0]),
-        )
-
-    # -- metric-space serving backends ------------------------------------------
-
-    def _knn_index(self, method: str):
-        from repro.api.registry import validate_choice
-
-        validate_choice("serving method", method, SERVE_METHODS)
-        built = self._knn.get(method)
-        if built is None:
-            # Deferred imports: the metric-tree backends are optional
-            # serving paths, so plain cascade serving never pays them.
-            if method == "vptree":
-                from repro.knn import VPTree
-
-                built = VPTree(
-                    list(range(len(self._records))),
-                    metric=self._id_metric("nsld"),
-                )
-            elif method == "bktree":
-                from repro.knn import BKTree
-
-                built = BKTree(metric=self._id_metric("sld"))
-                built.extend(range(len(self._records)))
-            else:  # fuzzymatch
-                from repro.knn import FuzzyMatchIndex
-
-                built = FuzzyMatchIndex(
-                    [list(record.tokens) for record in self._records]
-                )
-            self._knn[method] = built
-        return built
-
-    def _id_metric(self, kind: str):
-        """NSLD/SLD over record ids (queries pass TokenizedStrings)."""
-        measure = nsld if kind == "nsld" else sld
-        records = self._records
-        backend = self.backend
-
-        def metric(a, b):
-            record_a = records[a] if isinstance(a, int) else a
-            record_b = records[b] if isinstance(b, int) else b
-            return measure(record_a, record_b, backend=backend)
-
-        return metric

@@ -19,10 +19,9 @@ the per-index length partition makes one level down and the
 partition-based MapReduce joins the paper benchmarks make one level up.
 
 **Shard-count invariance** is the correctness contract, property-tested
-in ``tests/shard/``: for every serving method and any N, results,
-cascade/cache counters and join reports are *equal to the single-index
-oracle*.  The design choices that make that exact rather than
-approximate:
+in ``tests/shard/``: for any N, results, cascade/cache counters and join
+reports are *equal to the single-index oracle*.  The design choices that
+make that exact rather than approximate:
 
 * the router owns the result cache and all counters.  Shards are built
   with ``cache_size=0`` and are driven through cache-free ``_shard_*``
@@ -38,11 +37,6 @@ approximate:
   driver, shared verbatim, over merged per-shard overlap, verification
   and ``within`` primitives -- not approximated by merging per-shard
   top-k answers;
-* metric-tree results are canonicalized to ``(distance, id)`` at the
-  serving layer (see ``SimilarityIndex._shard_topk_knn``) because
-  the trees' traversal-order tie-break cannot survive a shard merge;
-* ``fuzzymatch`` scores depend on corpus-global token weights, so it is
-  served from one router-held global index rather than sharded;
 * the TSJ ``join`` runs over the global corpus through the existing
   engine (whose ``engine=`` fan-out already scatters the join itself):
   its signature partitioning is orthogonal to record placement, and
@@ -192,8 +186,6 @@ class ShardedIndex:
             "shards_probed": 0,
             "shards_pruned": 0,
         }
-        #: The corpus-global fuzzymatch index (lazy; see module docs).
-        self._global_knn: dict[str, object] = {}
 
     def _place(self, names: Sequence[str], records: Sequence) -> None:
         """Route new records to their owners, preserving global order."""
@@ -242,7 +234,6 @@ class ShardedIndex:
         self._place(names, [self.tokenizer.tokenize(name) for name in names])
         if names:
             self._cache.clear()
-            self._global_knn.clear()
 
     def stats(self) -> dict[str, int]:
         """Aggregate size snapshot plus router-level cache size."""
@@ -267,18 +258,6 @@ class ShardedIndex:
             "routing": dict(self.routing),
         }
 
-    def prepare(self, *methods: str) -> "ShardedIndex":
-        """Eagerly build serving backends on every shard (and the global
-        fuzzymatch index); returns ``self`` for chaining."""
-        for method in methods:
-            if method == "fuzzymatch":
-                self._fuzzy_index()
-            elif method != "cascade":
-                for shard in self.shards:
-                    if len(shard):
-                        shard.prepare(method)
-        return self
-
     def unpublish(self) -> None:
         """Withdraw every shard's pool publication (see
         :meth:`SimilarityIndex.unpublish`)."""
@@ -291,7 +270,6 @@ class ShardedIndex:
         self,
         queries: Sequence[str] | str,
         k: int = 5,
-        method: str = "cascade",
         processes: int | None = None,
     ) -> list[list[tuple[str, float]]]:
         """As :meth:`SimilarityIndex.topk`, scatter-gathered.
@@ -304,32 +282,27 @@ class ShardedIndex:
             raise ValueError("k must be positive")
         if isinstance(queries, str):
             queries = [queries]
-        return [self._topk_one(query, k, method, processes or 0) for query in queries]
+        return [self._topk_one(query, k, processes or 0) for query in queries]
 
     def within(
         self,
         queries: Sequence[str] | str,
         radius: float,
-        method: str = "cascade",
         processes: int | None = None,
     ) -> list[list[tuple[str, float]]]:
         """As :meth:`SimilarityIndex.within`, scatter-gathered with
-        Lemma 6 shard pruning on the cascade path."""
+        Lemma 6 shard pruning."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if method == "fuzzymatch":
-            raise ValueError("within() is not defined for the fuzzymatch method")
         if isinstance(queries, str):
             queries = [queries]
-        return [
-            self._within_one(query, radius, method, processes or 0)
-            for query in queries
-        ]
+        return [self._within_one(query, radius, processes or 0) for query in queries]
 
     # The single index's drivers, shared verbatim: this router holds the
     # same cache/counter/name/record state and implements the probe
     # primitives below by scatter-gather, so results, cache keys and
     # counters cannot drift from the 1-index oracle.
+    prepare = SimilarityIndex.prepare
     _check_append_base = SimilarityIndex._check_append_base
     _cache_get = SimilarityIndex._cache_get
     _cache_put = SimilarityIndex._cache_put
@@ -337,7 +310,6 @@ class ShardedIndex:
     _topk_one = SimilarityIndex._topk_one
     _within_one = SimilarityIndex._within_one
     _cascade_topk = SimilarityIndex._cascade_topk
-    _fuzzy_topk = SimilarityIndex._fuzzy_topk
 
     # -- scatter-gather primitives ------------------------------------------------
 
@@ -464,35 +436,3 @@ class ShardedIndex:
                     known[globals_[local]] = distance
         merged.sort()
         return [(global_id, distance) for distance, global_id in merged]
-
-    def _knn_hits(
-        self, entry: str, args: tuple, processes: int = 0
-    ) -> list[tuple[int, float]]:
-        """Merge a metric-tree entry point's per-shard canonical lists.
-
-        Local-id order equals global-id order within a shard, so each
-        shard's ``(distance, local id)`` list restricts the global
-        canonical order: sorting the mapped union by ``(distance, global
-        id)`` gives the global range hits, and its first ``k`` the global
-        canonical top-k.
-        """
-        calls = {index: (entry, args) for index in self._nonempty()}
-        merged = sorted(
-            (distance, globals_[local])
-            for globals_, hits in self._scatter(calls, processes)
-            for local, distance in hits
-        )
-        return [(global_id, distance) for distance, global_id in merged]
-
-    def _fuzzy_index(self):
-        """The corpus-global FuzzyMatch index: FMS weights are corpus-
-        global, so fuzzymatch cannot shard."""
-        built = self._global_knn.get("fuzzymatch")
-        if built is None:
-            from repro.knn import FuzzyMatchIndex
-
-            built = FuzzyMatchIndex(
-                [list(record.tokens) for record in self._records]
-            )
-            self._global_knn["fuzzymatch"] = built
-        return built

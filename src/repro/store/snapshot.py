@@ -12,9 +12,8 @@ process-local: the Myers ``Peq`` masks (lazy per token on first use;
 results and simulated costs are identical by construction since the
 vocab memo re-charges metered work on every hit), the encoded
 histograms and the probe's dense histogram ids (recomputed from the
-restored records in one pass), the result cache, metric-tree backends
-and pool publication tokens (the last three already excluded from
-pickling for the same reason).
+restored records in one pass), the result cache and pool publication
+tokens (the last already excluded from pickling for the same reason).
 
 Restoration trusts the container's CRCs for byte integrity but still
 cross-checks section shapes against each other (row counts, offset

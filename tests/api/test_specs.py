@@ -11,6 +11,7 @@ from repro.api import (
     WithinSpec,
     spec_from_json,
 )
+from repro.api.errors import ValidationError
 from repro.api.registry import validate_choice
 
 pytestmark = pytest.mark.tier1
@@ -37,7 +38,7 @@ class TestJsonRoundTrip:
         assert spec_from_json(spec.to_json()) == spec
 
     def test_within_spec(self):
-        spec = WithinSpec(queries=("a", "b"), radius=0.25, method="bktree")
+        spec = WithinSpec(queries=("a", "b"), radius=0.25, method="cascade")
         assert WithinSpec.from_json(spec.to_json()) == spec
         assert spec_from_json(spec.to_json()) == spec
 
@@ -117,8 +118,18 @@ class TestValidationErrors:
             WithinSpec(radius=-0.1)
 
     def test_within_rejects_fuzzymatch(self):
-        with pytest.raises(ValueError, match="does not support range queries"):
+        with pytest.raises(ValueError, match=r"unknown search method 'fuzzymatch'"):
             WithinSpec(method="fuzzymatch")
+
+    @pytest.mark.parametrize("method", ["bktree", "fuzzymatch"])
+    def test_retired_search_methods(self, method):
+        # The uniform selector error, listing every accepted spelling.
+        with pytest.raises(
+            ValidationError,
+            match=rf"unknown search method '{method}'; choose from "
+            r"\['cascade', 'similarity_index', 'vptree'\]",
+        ):
+            TopKSpec(method=method)
 
     def test_selector_errors_list_choices(self):
         # The error names every registered algorithm -- the "choose from"
@@ -148,15 +159,6 @@ class TestSharedSelectorValidation:
             ValueError, match=r"unknown execution engine 'ray'; choose from"
         ):
             resolve_engine("ray")
-
-    def test_serving_method(self):
-        from repro.service import SimilarityIndex
-
-        index = SimilarityIndex(["ann lee"])
-        with pytest.raises(
-            ValueError, match=r"unknown serving method 'kdtree'; choose from"
-        ):
-            index.topk(["x"], k=1, method="kdtree")
 
     def test_massjoin_mode(self):
         from repro.joins import MassJoin

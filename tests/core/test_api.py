@@ -177,9 +177,12 @@ class TestCli:
 
         corpus = tmp_path / "names.txt"
         corpus.write_text("barak obama\n")
-        command = ["search", str(corpus), "x", "--radius", "0.2"]
-        assert main(command + ["--method", "fuzzymatch"]) == 2
-        assert "not supported" in capsys.readouterr().out
+        for mode in (["--radius", "0.2"], ["-k", "2"]):
+            for method in ("fuzzymatch", "bktree"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(["search", str(corpus), "x", *mode, "--method", method])
+                assert excinfo.value.code == 2
+                assert f"invalid choice: '{method}'" in capsys.readouterr().err
 
     def test_search_rejects_negative_radius(self, tmp_path, capsys):
         from repro.cli import main

@@ -26,7 +26,7 @@ from repro.api.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.api.registry import join_algorithms, resolve_search, search_methods
+from repro.api.registry import join_algorithms, search_methods
 from repro.client import ServiceClient
 from repro.data import evaluation_corpus
 from repro.server import ReproServer
@@ -123,7 +123,7 @@ class TestJoinEquivalence:
 
 
 class TestSearchEquivalence:
-    @pytest.mark.parametrize("method", search_methods())
+    @pytest.mark.parametrize("method", search_methods(include_aliases=True))
     def test_topk_remote_equals_in_process(self, client, method):
         # A corpus unique per method: the server session is shared, and
         # cache counters must match a fresh in-process session's.
@@ -131,10 +131,7 @@ class TestSearchEquivalence:
         spec = TopKSpec(queries=(names[0], "zz zz"), k=3, method=method, names=names)
         assert wire_equal(client.run(spec), Session().run(spec))
 
-    @pytest.mark.parametrize(
-        "method",
-        [m for m in search_methods() if resolve_search(m).supports_within],
-    )
+    @pytest.mark.parametrize("method", search_methods(include_aliases=True))
     def test_within_remote_equals_in_process(self, client, method):
         names = tuple(f"{name} {method} w" for name in NAMES)
         spec = WithinSpec(
@@ -142,13 +139,18 @@ class TestSearchEquivalence:
         )
         assert wire_equal(client.run(spec), Session().run(spec))
 
-    def test_knn_endpoint(self, client):
+    def test_knn_endpoint(self, server, client):
         names = tuple(f"{name} knn" for name in NAMES)
-        remote = client.knn((names[0],), k=2, names=names)
-        local = Session().run(
-            TopKSpec(queries=(names[0],), k=2, method="vptree", names=names)
+        local = Session().run(TopKSpec(queries=(names[0],), k=2, names=names))
+        assert wire_equal(client.knn((names[0],), k=2, names=names), local)
+        # Older SDKs pin ``method: "vptree"`` on /v1/knn; the alias must
+        # still answer with the cascade's matches.
+        legacy = {"queries": [names[0]], "k": 2, "method": "vptree", "names": names}
+        status, raw = raw_request(
+            server, "POST", "/v1/knn", body=json.dumps(legacy).encode()
         )
-        assert wire_equal(remote, local)
+        assert status == 200
+        assert json.loads(raw)["matches"] == local.matches
 
     def test_compare_via_run(self, client):
         spec_payload = {"type": "compare", "name_a": "jon", "name_b": "john"}
@@ -192,8 +194,10 @@ def live_service():
 class TestMalformedPayloads:
     """Every bad request answers the envelope -- never a traceback."""
 
-    def assert_error(self, server, body, *, expect_type="validation", path="/v1/run"):
-        status, raw = raw_request(server, "POST", path, body=body)
+    def assert_error(
+        self, server, body, *, expect_type="validation", path="/v1/run", headers=None
+    ):
+        status, raw = raw_request(server, "POST", path, body=body, headers=headers)
         payload = json.loads(raw)
         assert status == 400, payload
         assert set(payload) == {"error"}
@@ -229,6 +233,18 @@ class TestMalformedPayloads:
 
     def test_bad_param_shape(self, server):
         self.assert_error(server, b'{"type": "join", "names": 42}')
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "-5"])
+    def test_bad_content_length(self, server, length):
+        message = self.assert_error(server, b"", headers={"Content-Length": length})
+        assert "Content-Length" in message
+
+    @pytest.mark.parametrize("method", ["bktree", "fuzzymatch"])
+    @pytest.mark.parametrize("path", ["/v1/search", "/v1/knn"])
+    def test_retired_search_methods(self, server, method, path):
+        body = json.dumps({"queries": ["x"], "method": method}).encode()
+        message = self.assert_error(server, body, path=path)
+        assert f"unknown search method {method!r}; choose from" in message
 
     def test_endpoint_type_mismatch(self, server):
         message = self.assert_error(

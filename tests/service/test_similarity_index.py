@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session, TopKSpec, WithinSpec
 from repro.core import nsld_join
 from repro.data import evaluation_corpus
-from repro.distances.setwise import nsld, sld
-from repro.knn import FuzzyMatchIndex
+from repro.distances.setwise import nsld
 from repro.service import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, SimilarityIndex
 from repro.tokenize import tokenize
 
@@ -281,53 +281,36 @@ class TestResultCache:
 
 
 class TestServingBackends:
+    """One serving method: ``vptree`` is an alias of the cascade, the
+    retired ``bktree``/``fuzzymatch`` names are unknown methods."""
+
     def test_vptree_matches_oracle_distances(self):
         names, _ = evaluation_corpus(30, seed=21)
-        index = SimilarityIndex(names)
         query = names[4] + "x"
-        got = index.topk([query], k=5, method="vptree")[0]
+        got = Session(names).run(TopKSpec(queries=(query,), k=5, method="vptree"))
         want = oracle_topk(names, query, 5)
-        assert [distance for _, distance in got] == [
-            distance for _, distance in want
-        ]
-
-    def test_bktree_serves_sld(self):
-        index = SimilarityIndex(NAMES)
-        got = index.topk(["john smith"], k=2, method="bktree")[0]
-        assert got[0][1] == 0.0  # exact match at SLD 0
-        query_record = tokenize("john smith")
-        for name, distance in got:
-            assert distance == float(sld(query_record, tokenize(name)))
-
-    def test_fuzzymatch_matches_direct_index(self):
-        index = SimilarityIndex(NAMES)
-        got = index.topk(["john smith"], k=3, method="fuzzymatch")[0]
-        direct = FuzzyMatchIndex(
-            [list(tokenize(name).tokens) for name in NAMES]
-        ).query(list(tokenize("john smith").tokens), k=3)
-        assert got == [
-            (" ".join(tokens), score) for tokens, score in direct
-        ]
+        assert got.matches == [[[name, distance] for name, distance in want]]
 
     def test_within_on_metric_trees(self):
         names, _ = evaluation_corpus(25, seed=2)
-        index = SimilarityIndex(names)
         query = names[3]
-        cascade = index.within([query], radius=0.25)[0]
-        vptree = index.within([query], radius=0.25, method="vptree")[0]
-        assert sorted(cascade) == sorted(vptree)
+        cascade = SimilarityIndex(names).within([query], radius=0.25)[0]
+        vptree = Session(names).run(
+            WithinSpec(queries=(query,), radius=0.25, method="vptree")
+        )
+        assert vptree.matches == [[[name, distance] for name, distance in cascade]]
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityIndex(NAMES).topk(["x"], k=1, method="nope")
+        with pytest.raises(ValueError, match="unknown search method 'nope'"):
+            TopKSpec(queries=("x",), method="nope")
 
     def test_fuzzymatch_within_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityIndex(NAMES).within(["x"], radius=0.2, method="fuzzymatch")
+        with pytest.raises(ValueError, match="unknown search method 'fuzzymatch'"):
+            WithinSpec(queries=("x",), radius=0.2, method="fuzzymatch")
 
-    def test_prepare_builds_backends_eagerly(self):
-        index = SimilarityIndex(NAMES).prepare("vptree", "cascade")
-        assert "vptree" in index._knn
+    def test_prepare_returns_self(self):
+        index = SimilarityIndex(NAMES)
+        assert index.prepare("cascade") is index
 
 
 class TestSnapshotPickling:
@@ -338,13 +321,6 @@ class TestSnapshotPickling:
         clone = pickle.loads(pickle.dumps(index))
         for query in [names[2], "barak obana"]:
             assert clone.topk([query], k=4) == index.topk([query], k=4)
-
-    def test_roundtrip_after_backend_build(self):
-        index = SimilarityIndex(NAMES).prepare("vptree", "fuzzymatch")
-        clone = pickle.loads(pickle.dumps(index))  # closures dropped
-        assert clone.topk(["john smith"], k=1, method="vptree") == index.topk(
-            ["john smith"], k=1, method="vptree"
-        )
 
 
 class TestCounters:

@@ -1,11 +1,10 @@
 """Shard-count invariance: the sharded router equals the 1-index oracle.
 
-The contract the whole subsystem hangs off: for every registered
-serving method, any shard count and either placement, ``topk`` /
-``within`` / ``join`` answers -- and the cascade/cache counters, and the
-join's simulated seconds -- are *equal* to a single
-:class:`SimilarityIndex` over the same corpus, in-process or scattered
-over the shared worker pool.
+The contract the whole subsystem hangs off: for any shard count and
+either placement, ``topk`` / ``within`` / ``join`` answers -- and the
+cascade/cache counters, and the join's simulated seconds -- are *equal*
+to a single :class:`SimilarityIndex` over the same corpus, in-process or
+scattered over the shared worker pool.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 
 from repro.data import evaluation_corpus
 from repro.service import SimilarityIndex
-from repro.service.index import SERVE_METHODS
 from repro.shard import ShardedIndex
 from repro.shard.placement import PLACEMENTS
 
@@ -35,10 +33,7 @@ def oracle() -> SimilarityIndex:
 def test_topk_every_method_matches_oracle(n_shards, placement):
     serial = oracle()
     sharded = ShardedIndex(CORPUS, n_shards=n_shards, placement=placement)
-    for method in SERVE_METHODS:
-        assert sharded.topk(QUERIES, k=3, method=method) == serial.topk(
-            QUERIES, k=3, method=method
-        ), method
+    assert sharded.topk(QUERIES, k=3) == serial.topk(QUERIES, k=3)
     # Identical call sequence -> identical cascade AND cache counters.
     assert sharded.counters == serial.counters
 
@@ -48,15 +43,10 @@ def test_topk_every_method_matches_oracle(n_shards, placement):
 def test_within_every_method_matches_oracle(n_shards, placement):
     serial = oracle()
     sharded = ShardedIndex(CORPUS, n_shards=n_shards, placement=placement)
-    for method in SERVE_METHODS:
-        if method == "fuzzymatch":  # no range semantics, both sides raise
-            with pytest.raises(ValueError):
-                sharded.within(QUERIES, 0.2, method=method)
-            continue
-        for radius in (0.0, 0.15, 0.4):
-            assert sharded.within(
-                QUERIES, radius, method=method
-            ) == serial.within(QUERIES, radius, method=method), (method, radius)
+    for radius in (0.0, 0.15, 0.4):
+        assert sharded.within(QUERIES, radius) == serial.within(QUERIES, radius), (
+            radius
+        )
     assert sharded.counters == serial.counters
 
 

@@ -1,7 +1,7 @@
 """Save/load equivalence: a loaded index answers byte-identically.
 
-The snapshot must be lossless where it matters: for every registered
-search method and for joins, a session restored from disk produces the
+The snapshot must be lossless where it matters: for every accepted
+search method spelling and for joins, a session restored from disk produces the
 same pairs/matches, the same cascade counters and the same simulated
 seconds as a session freshly built from the same names.  Only wall-clock
 fields (``build_seconds``/``query_seconds``) may differ.
@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.api import JoinSpec, Session, TopKSpec, WithinSpec
-from repro.api.registry import resolve_search, search_methods
+from repro.api.registry import search_methods
 from repro.store import (
     index_from_sections,
     index_to_sections,
@@ -57,7 +57,7 @@ def snapshot_path(tmp_path_factory):
 
 
 class TestSearchEquivalence:
-    @pytest.mark.parametrize("method", search_methods())
+    @pytest.mark.parametrize("method", search_methods(include_aliases=True))
     def test_topk_identical(self, snapshot_path, method):
         fresh = Session(NAMES).run(
             TopKSpec(queries=QUERIES, k=3, method=method)
@@ -67,10 +67,7 @@ class TestSearchEquivalence:
         )
         assert canonical(loaded) == canonical(fresh)
 
-    @pytest.mark.parametrize(
-        "method",
-        [m for m in search_methods() if resolve_search(m).supports_within],
-    )
+    @pytest.mark.parametrize("method", search_methods(include_aliases=True))
     def test_within_identical(self, snapshot_path, method):
         fresh = Session(NAMES).run(
             WithinSpec(queries=QUERIES, radius=0.3, method=method)
