@@ -69,7 +69,8 @@ def run_bench() -> dict:
         # Publish the store once: snapshot of the resident corpus plus a
         # WAL tail of individually acknowledged appends.
         store = SnapshotStore(directory)
-        seed_index = store.open(names=resident)
+        seed_index = SimilarityIndex(resident)
+        store.save(seed_index)
         for name in tail:
             store.log_append([name], base=len(seed_index))
             seed_index.append([name])

@@ -41,14 +41,16 @@ Substrates and baselines:
   joins.
 * :mod:`repro.data` -- synthetic name corpora and the fraud-ring model.
 * :mod:`repro.analysis` -- ROC, recall and similarity-graph clustering.
-* :mod:`repro.store` -- durable indexes: crash-safe snapshots
-  (:class:`repro.SnapshotStore`), the write-ahead append log, and warm
-  restart behind ``Session(store_dir=...)`` / ``serve --store``.
-* :mod:`repro.shard` -- sharded serving: :class:`repro.ShardedIndex`
-  scatter-gathers N placement-partitioned shards with results and
-  counters invariant in the shard count (``Session(shards=N)`` /
-  ``serve --shards``), and :class:`repro.ShardedSnapshotStore` persists
-  the layout under the unsharded recovery contract.
+* :mod:`repro.shard` -- the serving index and its store:
+  :class:`repro.ShardedIndex` scatter-gathers N >= 1 placement-
+  partitioned shards with results and counters invariant in the shard
+  count (``Session(shards=N)`` / ``serve --shards``, one shard by
+  default), and :class:`repro.ShardedSnapshotStore` is the durable store
+  behind ``Session(store_dir=...)`` / ``serve --store``: warm restart,
+  migration of flat directories, degrade-to-rebuild.
+* :mod:`repro.store` -- the files underneath: crash-safe snapshots,
+  the write-ahead append log, and :class:`repro.SnapshotStore`, the
+  flat single-file layout ``Session.save`` exports at one shard.
 """
 
 from repro.api import (

@@ -160,7 +160,7 @@ class CorruptSnapshotError(ApiError):
     truncated header, wrong magic, unsupported format version, a section
     checksum mismatch, or internally inconsistent sections.  Callers
     holding the source corpus degrade to a full rebuild
-    (:meth:`repro.store.SnapshotStore.open`); callers without one get
+    (:meth:`repro.shard.ShardedSnapshotStore.open`); callers without one get
     the typed failure instead of wrong results.
     """
 

@@ -11,9 +11,9 @@ specs deliberately do not carry:
   selectors (spec fields override per request);
 * the **resident-corpus lifecycle**: corpora named by specs (or passed
   to ``run``) are tokenized once and kept in a small LRU, and the
-  serving paths build one :class:`repro.service.SimilarityIndex` per
-  corpus (build-once/query-many via :mod:`repro.service` under the
-  hood), reused across specs.
+  serving paths build one :class:`repro.shard.ShardedIndex` per corpus
+  -- N >= 1 :class:`repro.service.SimilarityIndex` shards behind one
+  router, build-once/query-many -- reused across specs.
 
 The module-level :func:`run` serves the one-liner case through a shared
 process-default session, so repeated calls amortize tokenization and
@@ -26,6 +26,8 @@ index builds exactly like an explicit session would::
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from typing import Sequence
 
@@ -90,41 +92,24 @@ class _Corpus:
             self._token_lists = [list(record.tokens) for record in self.records]
         return self._token_lists
 
-    def index(
-        self,
-        backend: str,
-        cache_size: int,
-        shards: int = 1,
-        placement: str = "length",
-    ):
+    def index(self, backend: str, cache_size: int, shards: int, placement: str):
         """The resident serving index (lazy): a
-        :class:`repro.service.SimilarityIndex`, or a
-        :class:`repro.shard.ShardedIndex` when the session serves
-        ``shards > 1`` (results and counters are shard-count invariant,
-        so the cached index is keyed by backend alone)."""
+        :class:`repro.shard.ShardedIndex` of ``shards`` shards (results
+        and counters are shard-count invariant, so the cached index is
+        keyed by backend alone)."""
         built = self._indexes.get(backend)
         if built is None:
+            from repro.shard import ShardedIndex
+
             start = time.perf_counter()
-            if shards > 1:
-                from repro.shard import ShardedIndex
-
-                built = ShardedIndex(
-                    self.names,
-                    n_shards=shards,
-                    placement=placement,
-                    tokenizer=self._tokenizer,
-                    backend=backend,
-                    cache_size=cache_size,
-                )
-            else:
-                from repro.service import SimilarityIndex
-
-                built = SimilarityIndex(
-                    self.names,
-                    tokenizer=self._tokenizer,
-                    backend=backend,
-                    cache_size=cache_size,
-                )
+            built = ShardedIndex(
+                self.names,
+                n_shards=shards,
+                placement=placement,
+                tokenizer=self._tokenizer,
+                backend=backend,
+                cache_size=cache_size,
+            )
             self.build_seconds += time.perf_counter() - start
             self._indexes[backend] = built
         return built
@@ -153,25 +138,24 @@ class Session:
     max_resident:
         How many distinct corpora the session keeps resident at once.
     shards / placement:
-        Serving layout.  ``shards > 1`` builds each resident index as a
-        :class:`repro.shard.ShardedIndex` -- N partitions under the
-        given placement (``"length"`` for Lemma 6 shard pruning,
-        ``"hash"`` for the uniform baseline), scatter-gather routed --
-        with the spec surface unchanged: results, counters and simulated
-        seconds are shard-count invariant by contract.
+        Serving layout.  Every resident index is a
+        :class:`repro.shard.ShardedIndex` of ``shards`` partitions under
+        the given placement (``"length"`` for Lemma 6 shard pruning,
+        ``"hash"`` for the uniform baseline), scatter-gather routed; one
+        shard (the default) has nothing to scatter.  Results, counters
+        and simulated seconds are shard-count invariant by contract.
     store_dir:
-        Optional durable-store directory (:class:`repro.store.
-        SnapshotStore`, or :class:`repro.shard.ShardedSnapshotStore`
-        when serving sharded or when the directory already holds a
-        sharded layout).  On construction the session warm-restarts from
-        it -- snapshot load + WAL replay, degrading to a full rebuild
-        from ``names`` when the store is damaged -- and the restored
-        index becomes the *durable corpus* behind specs that name no
-        inline corpus.  :meth:`append` then logs to the store's WAL
-        before mutating memory, so acknowledged appends survive a crash.
-        A directory written unsharded migrates losslessly when opened
-        with ``shards > 1`` (and vice versa the sharded layout, once
-        created, is kept even at ``shards=1``).
+        Optional durable-store directory, opened through
+        :class:`repro.shard.ShardedSnapshotStore` at this session's
+        layout.  On construction the session warm-restarts from it --
+        snapshot load + WAL replay, degrading to a full rebuild from
+        ``names`` when the store is damaged -- and the restored index
+        becomes the *durable corpus* behind specs that name no inline
+        corpus.  :meth:`append` then logs to the store's WAL before
+        mutating memory, so acknowledged appends survive a crash.  A
+        flat directory (``index.snap`` + ``index.wal``) migrates
+        losslessly on first open, and a sharded one whose layout differs
+        from ``shards``/``placement`` is resharded.
 
     Examples
     --------
@@ -213,34 +197,19 @@ class Session:
         self._durable: _Corpus | None = None
         self._durable_index = None
         if store_dir is not None:
-            from repro.shard.store import is_sharded_store
+            from repro.shard import ShardedSnapshotStore
 
-            if shards > 1 or is_sharded_store(store_dir):
-                from repro.shard import ShardedSnapshotStore
-
-                self._store = ShardedSnapshotStore(store_dir)
-                self._install_durable(
-                    self._store.open(
-                        names=names,
-                        n_shards=shards,
-                        placement=placement,
-                        tokenizer=self.tokenizer,
-                        backend=self.backend,
-                        cache_size=self.cache_size,
-                    )
+            self._store = ShardedSnapshotStore(store_dir)
+            self._install_durable(
+                self._store.open(
+                    names=names,
+                    n_shards=shards,
+                    placement=placement,
+                    tokenizer=self.tokenizer,
+                    backend=self.backend,
+                    cache_size=self.cache_size,
                 )
-            else:
-                from repro.store import SnapshotStore
-
-                self._store = SnapshotStore(store_dir)
-                self._install_durable(
-                    self._store.open(
-                        names=names,
-                        tokenizer=self.tokenizer,
-                        backend=self.backend,
-                        cache_size=self.cache_size,
-                    )
-                )
+            )
 
     # -- durable persistence ----------------------------------------------------
 
@@ -308,16 +277,15 @@ class Session:
         return len(index)
 
     def save(self, path: str) -> str:
-        """Write an atomic snapshot of the default corpus's index at
-        ``path`` (the CLI ``repro index save``); returns ``path``.
+        """Export the default corpus's serving index at ``path`` (the CLI
+        ``repro index save``); returns ``path``.
 
-        Independent of ``store_dir``: this is the one-shot export, the
-        durable directory is the live write path.  The export is always
-        the single-file unsharded format (portable across shard
-        layouts); a sharded serving index is flattened for it.
+        One shard writes the flat single-file snapshot; more write the
+        sharded store layout (manifest + per-shard snapshots) into the
+        directory ``path``.  Both publish atomically and both are what
+        :meth:`load` reads.  Independent of ``store_dir``: this is the
+        one-shot export, the durable directory is the live write path.
         """
-        from repro.store import index_to_sections, write_snapshot_file
-
         index = self._durable_index
         if index is None:
             if self._default_names is None:
@@ -325,38 +293,62 @@ class Session:
                     "nothing to save: construct the Session with a default "
                     "corpus (names=) or a store_dir"
                 )
-            index = self._corpus(None).index(self.backend, self.cache_size)
-        if hasattr(index, "shards"):
-            from repro.service import SimilarityIndex
-
-            index = SimilarityIndex(
-                index.names,
-                tokenizer=self.tokenizer,
-                backend=self.backend,
-                cache_size=index.result_cache.capacity,
+            index = self._corpus(None).index(
+                self.backend, self.cache_size, self.shards, self.placement
             )
-        write_snapshot_file(path, index_to_sections(index))
+        if len(index.shards) > 1:
+            from repro.shard import ShardedSnapshotStore
+
+            ShardedSnapshotStore(path).save(index)
+            return path
+        from repro.store import index_to_sections, write_snapshot_file
+
+        # Shard 0 holds exactly a flat build's ids and vocab; it runs
+        # cache-free, so the file records the router's cache size.
+        sections = index_to_sections(index.shards[0])
+        meta = json.loads(sections["meta"])
+        meta["cache_size"] = index.result_cache.capacity
+        sections["meta"] = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+        write_snapshot_file(path, sections)
         return path
 
     @classmethod
     def load(cls, path: str, *, engine: str = "auto", max_resident: int = 4):
-        """Rebuild a session from a :meth:`save` snapshot (strict: a
-        damaged file raises the typed
-        :class:`~repro.api.errors.CorruptSnapshotError`).
+        """Rebuild a session from a :meth:`save` export: a flat snapshot
+        file (served as a 1-shard router) or a sharded store directory.
+        Strict: a damaged export raises the typed
+        :class:`~repro.api.errors.CorruptSnapshotError`.
 
         The restored index serves byte-identically to the one saved --
         same results, same cascade counters, same simulated seconds --
-        and becomes the session's durable corpus.
+        and becomes the session's durable corpus; the session takes its
+        shard layout.
         """
-        from repro.store import index_from_sections, read_snapshot_file
+        from repro.shard import ShardedIndex, ShardedSnapshotStore
 
-        index = index_from_sections(read_snapshot_file(path))
+        if os.path.isdir(path):
+            index = ShardedSnapshotStore(path).load()
+        else:
+            from repro.shard.placement import LengthPlacement
+            from repro.store import index_from_sections, read_snapshot_file
+
+            flat = index_from_sections(read_snapshot_file(path))
+            index = ShardedIndex.from_shards(
+                [flat],
+                LengthPlacement(1, ()),
+                [range(len(flat))],
+                tokenizer=flat.tokenizer,
+                backend=flat.backend,
+                cache_size=flat.result_cache.capacity,
+            )
         session = cls(
             tokenizer=index.tokenizer,
             backend=index.backend,
             engine=engine,
             cache_size=index.result_cache.capacity,
             max_resident=max_resident,
+            shards=len(index.shards),
+            placement=index.placement.kind,
         )
         session._install_durable(index)
         return session
@@ -366,21 +358,21 @@ class Session:
         return self._store.status() if self._store is not None else None
 
     def shard_status(self) -> dict | None:
-        """The serving shard layout block (``None`` when unsharded).
+        """The serving index's shard block: per-shard sizes, placement
+        and the router's ``shards_probed``/``shards_pruned`` tallies.
 
-        Prefers the durable index; otherwise reports the first resident
-        sharded index (per-shard sizes plus the router's
-        ``shards_probed``/``shards_pruned`` tallies).
+        Reports the durable index, else the first resident one; ``None``
+        until some index is resident.
         """
-        candidates = []
-        if self._durable_index is not None:
-            candidates.append(self._durable_index)
-        for _, corpus in self._corpora.items():
-            candidates.extend(corpus._indexes.values())
-        for index in candidates:
-            if hasattr(index, "shard_status"):
-                return index.shard_status()
-        return None
+        index = self._durable_index
+        if index is None:
+            resident = (
+                built
+                for _, corpus in self._corpora.items()
+                for built in corpus._indexes.values()
+            )
+            index = next(resident, None)
+        return None if index is None else index.shard_status()
 
     # -- corpus residency -------------------------------------------------------
 

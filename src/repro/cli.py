@@ -20,8 +20,8 @@ Subcommands
 ``knn``       Nearest neighbours of one or more names from a resident
               index (VP-tree over NSLD, built once for the whole batch).
 ``search``    Serve top-k or range queries from a resident
-              :class:`repro.service.SimilarityIndex` (build once, query
-              many; any registered search backend).
+              :class:`repro.shard.ShardedIndex` (build once, query
+              many; ``--shards N``, one by default).
 ``run``       Execute a spec from a JSON file (``--spec spec.json``, or
               ``--spec -`` for stdin) -- the declarative entry point;
               emits the ResultSet envelope (``--output FILE`` writes it
@@ -35,10 +35,12 @@ Subcommands
               ``/v1/append`` survives crashes.  ``--shards N`` serves
               the resident corpus from N scatter-gather shards with
               identical results and counters.
-``index``     Durable index snapshots: ``index save`` writes an atomic,
-              checksummed snapshot of a corpus's serving index;
-              ``index load`` restores it (optionally serving queries)
-              without re-tokenizing or re-indexing the corpus.
+``index``     Durable index snapshots (``Session.save`` / ``Session.load``):
+              ``index save`` writes an atomic, checksummed snapshot of a
+              corpus's serving index (a store directory with
+              ``--shards N > 1``); ``index load`` restores either
+              (optionally serving queries) without re-tokenizing or
+              re-indexing the corpus.
 ``tune``      Coordinate-descent search for (T, M) against a corpus with
               planted rings (footnote 5 of the paper).
 
@@ -68,7 +70,7 @@ from repro.api import (
     search_methods,
     spec_from_json,
 )
-from repro.api.errors import ApiError, ValidationError
+from repro.api.errors import ApiError
 from repro.data import evaluation_corpus, name_change_dataset
 from repro.distances import fuzzy_cosine, fuzzy_dice, fuzzy_jaccard
 from repro.runtime import ENGINES
@@ -333,12 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         corpus = f"{resident} resident names (durable)"
     else:
         corpus = f"{len(names)} resident names" if names else "no resident corpus"
-    layout = session.shard_status()
-    if layout is not None:
-        corpus += (
-            f", {layout['shards']} shards "
-            f"({layout['placement']['kind']} placement)"
-        )
+    corpus += f", {args.shards} shard(s) ({args.placement} placement)"
     auth = "bearer-token auth" if args.token else "no auth"
     print(f"serving on {server.url} ({corpus}, {auth})", flush=True)
     try:
@@ -351,27 +348,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_save(args: argparse.Namespace) -> int:
-    names = _read_names(args.input)
-    if args.shards > 1:
-        from repro.shard import ShardedIndex, ShardedSnapshotStore
+    import os
 
-        index = ShardedIndex(
-            names,
-            n_shards=args.shards,
-            placement=args.placement,
-            backend=args.backend,
-        )
-        written = ShardedSnapshotStore(args.output).save(index)
+    names = _read_names(args.input)
+    Session(
+        names, backend=args.backend, shards=args.shards, placement=args.placement
+    ).save(args.output)
+    if args.shards > 1:
         print(
             f"saved {len(names)}-record sharded index to {args.output}/ "
             f"({args.shards} shards, {args.placement} placement, "
-            f"{written} bytes, checksummed, atomically published)"
+            "checksummed, atomically published)"
         )
         return 0
-    session = Session(names, backend=args.backend)
-    session.save(args.output)
-    import os
-
     size = os.path.getsize(args.output)
     print(
         f"saved {len(names)}-record index snapshot to {args.output} "
@@ -380,32 +369,8 @@ def _cmd_index_save(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_session(snapshot: str) -> Session:
-    """``Session.load`` for a snapshot file, or a sharded store directory
-    (detected by its manifest) restored without re-tokenizing."""
-    import os
-
-    if not os.path.isdir(snapshot):
-        return Session.load(snapshot)
-    from repro.shard import ShardedSnapshotStore, is_sharded_store
-
-    if not is_sharded_store(snapshot):
-        raise ValidationError(
-            f"{snapshot} is a directory without a shard manifest; "
-            "expected a snapshot file or a sharded index store"
-        )
-    index = ShardedSnapshotStore(snapshot).load()
-    session = Session(
-        tokenizer=index.tokenizer,
-        backend=index.backend,
-        cache_size=index.result_cache.capacity,
-    )
-    session._install_durable(index)
-    return session
-
-
 def _cmd_index_load(args: argparse.Namespace) -> int:
-    session = _load_session(args.snapshot)
+    session = Session.load(args.snapshot)
     if args.queries:
         spec = TopKSpec(queries=tuple(args.queries), k=args.k)
         return _emit(session.run(spec), args)

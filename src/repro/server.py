@@ -50,10 +50,11 @@ corpus) without ever shedding -- probes must always answer.  With a
 durable store (``serve(store_dir=...)`` / CLI ``--store``), health also
 carries a ``store`` block (``{loaded, wal_records, last_compaction}``)
 and ``/v1/metrics`` the full ``store.status()`` (WAL records, last
-compaction, torn-tail truncation, rebuilds).  When serving sharded
-(``serve(shards=N)`` / CLI ``--shards``), both carry a ``shards`` block:
-per-shard sizes, the placement, and the router's
-``shards_probed``/``shards_pruned`` tallies.
+compaction, torn-tail truncation, rebuilds).  Both always carry a
+``shards`` block for the serving index (``serve(shards=N)`` / CLI
+``--shards``, one shard by default): per-shard sizes, the placement,
+and the router's ``shards_probed``/``shards_pruned`` tallies -- ``null``
+until an index is resident.
 
 Auth is a static bearer token (``Authorization: Bearer <token>``),
 compared constant-time; ``token=None`` disables auth.  ``/v1/health``
@@ -446,9 +447,7 @@ class SimilarityService:
                 "wal_records": store["wal_records"],
                 "last_compaction": store["last_compaction"],
             }
-        shards = self.session.shard_status()
-        if shards is not None:
-            payload["shards"] = shards
+        payload["shards"] = self.session.shard_status()
         return payload
 
     def _metrics(self) -> dict:
@@ -460,9 +459,7 @@ class SimilarityService:
         store = self.session.store_status()
         if store is not None:
             payload["store"] = store  # the full status(), health shows a subset
-        shards = self.session.shard_status()
-        if shards is not None:
-            payload["shards"] = shards
+        payload["shards"] = self.session.shard_status()
         return payload
 
 
@@ -654,10 +651,10 @@ def serve(
     ``max_queue`` bound the admission gate (``None`` = no shedding).
     ``store_dir`` makes the session durable: boot warm-restarts from
     the snapshot + WAL (degrading to a rebuild from ``names`` when
-    damaged) and ``/v1/append`` survives crashes.  ``shards > 1``
-    serves every resident corpus through an N-shard
-    :class:`repro.shard.ShardedIndex` (same results and counters by
-    contract; per-shard persistence when combined with ``store_dir``).
+    damaged) and ``/v1/append`` survives crashes.  ``shards`` sets the
+    :class:`repro.shard.ShardedIndex` layout every resident corpus is
+    served through (same results and counters for any N by contract;
+    per-shard persistence when combined with ``store_dir``).
     """
     session = Session(
         names,

@@ -87,6 +87,11 @@ _MISS = object()
 _SHARE_KEYS = itertools.count()
 
 
+def _share_key() -> str:
+    """A fresh pool-publication identity (see :meth:`ensure_published`)."""
+    return f"{os.getpid()}-{next(_SHARE_KEYS)}"
+
+
 class SimilarityIndex:
     """A frozen, resident NSLD index over a collection of raw names.
 
@@ -164,7 +169,7 @@ class SimilarityIndex:
         #: is unused on this path).
         self._probe_filter = HistogramBoundFilter(0.0, use_lemma10=False)
         #: Stable identity for pool-publication bookkeeping.
-        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
+        self.share_key = _share_key()
         self._published: str | None = None
         if names:
             self.append(names)
@@ -194,9 +199,15 @@ class SimilarityIndex:
             replayed = self._check_append_base(names, base)
             if replayed:
                 return
+        tokenize = self.tokenizer.tokenize
+        self._extend((name, tokenize(name)) for name in names)
+
+    def _extend(self, entries) -> None:
+        """Index ``(name, record)`` pairs already tokenized -- the append
+        body, and the shard router's way of handing a shard the very
+        records it holds itself."""
         added = False
-        for name in names:
-            record = self.tokenizer.tokenize(name)
+        for name, record in entries:
             record_id = len(self._records)
             self._names.append(name)
             self._records.append(record)
@@ -324,7 +335,7 @@ class SimilarityIndex:
         # A clone is a distinct publishable identity: keeping the
         # original's share_key would make the clone's publication evict
         # the original's from the sharing registry.
-        self.share_key = f"{os.getpid()}-{next(_SHARE_KEYS)}"
+        self.share_key = _share_key()
 
     def ensure_published(self) -> str:
         """Publish this snapshot to the shared pool once; return its token."""

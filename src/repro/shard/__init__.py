@@ -5,18 +5,18 @@
   (:mod:`repro.shard.index`);
 * placements -- ``length`` (Lemma 6 shard pruning) and ``hash``
   (uniform baseline) (:mod:`repro.shard.placement`);
-* :class:`ShardedSnapshotStore` -- per-shard snapshots + one global
-  WAL under the unsharded recovery contract (:mod:`repro.shard.store`).
+* :class:`ShardedSnapshotStore` -- the durable store: per-shard
+  snapshots + one global WAL, migrating flat directories on open
+  (:mod:`repro.shard.store`).
 """
 
 from repro.shard.index import ShardedIndex
 from repro.shard.placement import PLACEMENTS, build_placement
-from repro.shard.store import ShardedSnapshotStore, is_sharded_store
+from repro.shard.store import ShardedSnapshotStore
 
 __all__ = [
     "PLACEMENTS",
     "ShardedIndex",
     "ShardedSnapshotStore",
     "build_placement",
-    "is_sharded_store",
 ]

@@ -56,7 +56,7 @@ from typing import Sequence
 from repro.candidates import new_counters
 from repro.runtime.pool import in_worker_process, resilient_pool_map
 from repro.service.cache import COUNTER_CACHE_HITS, COUNTER_CACHE_MISSES, LRUCache
-from repro.service.index import SimilarityIndex
+from repro.service.index import SimilarityIndex, _share_key
 from repro.service.sharing import _counter_delta, resolve_snapshot
 from repro.shard.placement import build_placement
 from repro.tokenize import Tokenizer
@@ -86,10 +86,12 @@ class ShardedIndex:
     Parameters
     ----------
     names:
-        The corpus; tokenized once at the router for placement/join and
-        once more inside each owning shard's build.
+        The corpus, tokenized once: the router and the owning shard hold
+        the same record object.
     n_shards:
-        Number of :class:`SimilarityIndex` partitions.
+        Number of :class:`SimilarityIndex` partitions.  One shard is the
+        plain serving index: nothing to scatter, and ``processes > 1``
+        fans the query batch out over the pool as a single index does.
     placement:
         ``"length"`` (Lemma 6 shard pruning; the default) or ``"hash"``
         (uniform baseline) -- see :mod:`repro.shard.placement`.
@@ -174,6 +176,8 @@ class ShardedIndex:
         #: shard index -> its global ids in local order (ascending).
         self._shard_ids: list[list[int]] = [[] for _ in shards]
         self._cache = LRUCache(cache_size)
+        self.share_key = _share_key()
+        self._published: str | None = None
         #: Oracle-equal serving counters (cascade + router cache).
         self.counters: dict[str, int] = new_counters()
         self.counters[COUNTER_CACHE_HITS] = 0
@@ -188,8 +192,9 @@ class ShardedIndex:
         }
 
     def _place(self, names: Sequence[str], records: Sequence) -> None:
-        """Route new records to their owners, preserving global order."""
-        batches: dict[int, list[str]] = {}
+        """Route new records to their owners, preserving global order;
+        each owner indexes the router's own record object."""
+        batches: dict[int, list[tuple]] = {}
         for name, record in zip(names, records):
             global_id = len(self._records)
             shard_index = self.placement.shard_of(
@@ -200,9 +205,9 @@ class ShardedIndex:
             shard_globals.append(global_id)
             self._names.append(name)
             self._records.append(record)
-            batches.setdefault(shard_index, []).append(name)
+            batches.setdefault(shard_index, []).append((name, record))
         for shard_index, batch in batches.items():
-            self.shards[shard_index].append(batch)
+            self.shards[shard_index]._extend(batch)
 
     # -- collection surface -----------------------------------------------------
 
@@ -234,6 +239,7 @@ class ShardedIndex:
         self._place(names, [self.tokenizer.tokenize(name) for name in names])
         if names:
             self._cache.clear()
+            self.unpublish()  # the next pooled serve re-publishes
 
     def stats(self) -> dict[str, int]:
         """Aggregate size snapshot plus router-level cache size."""
@@ -259,49 +265,38 @@ class ShardedIndex:
         }
 
     def unpublish(self) -> None:
-        """Withdraw every shard's pool publication (see
+        """Withdraw the router's and every shard's pool publication (see
         :meth:`SimilarityIndex.unpublish`)."""
+        SimilarityIndex.unpublish(self)
         for shard in self.shards:
             shard.unpublish()
 
     # -- serving ---------------------------------------------------------------
 
-    def topk(
-        self,
-        queries: Sequence[str] | str,
-        k: int = 5,
-        processes: int | None = None,
-    ) -> list[list[tuple[str, float]]]:
-        """As :meth:`SimilarityIndex.topk`, scatter-gathered.
-
+    def _serve(self, operation, queries, kwargs, processes):
+        """One shard serves like a single index (``processes > 1`` fans
+        the batch out against the published router).  Past one shard,
         ``processes > 1`` parallelizes each query's scatter *across
-        shards* on the shared pool (the serve loop stays serial over
-        queries -- see :meth:`_scatter`).
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
+        shards* instead; the serve loop stays serial over queries (see
+        :meth:`_scatter`)."""
+        if len(self.shards) == 1 or (processes or 0) <= 1:
+            return SimilarityIndex._serve(self, operation, queries, kwargs, processes)
         if isinstance(queries, str):
             queries = [queries]
-        return [self._topk_one(query, k, processes or 0) for query in queries]
-
-    def within(
-        self,
-        queries: Sequence[str] | str,
-        radius: float,
-        processes: int | None = None,
-    ) -> list[list[tuple[str, float]]]:
-        """As :meth:`SimilarityIndex.within`, scatter-gathered with
-        Lemma 6 shard pruning."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        if isinstance(queries, str):
-            queries = [queries]
-        return [self._within_one(query, radius, processes or 0) for query in queries]
+        serve = getattr(self, f"_{operation}_one")
+        return [serve(query, processes=processes, **kwargs) for query in queries]
 
     # The single index's drivers, shared verbatim: this router holds the
     # same cache/counter/name/record state and implements the probe
     # primitives below by scatter-gather, so results, cache keys and
-    # counters cannot drift from the 1-index oracle.
+    # counters cannot drift from the 1-index oracle.  Its publication
+    # hooks are the single index's too: a published router pickles (or
+    # forks) with its shards.
+    topk = SimilarityIndex.topk
+    within = SimilarityIndex.within
+    __getstate__ = SimilarityIndex.__getstate__
+    __setstate__ = SimilarityIndex.__setstate__
+    ensure_published = SimilarityIndex.ensure_published
     prepare = SimilarityIndex.prepare
     _check_append_base = SimilarityIndex._check_append_base
     _cache_get = SimilarityIndex._cache_get

@@ -1,8 +1,9 @@
-""":class:`ShardedSnapshotStore`: one directory, N shard snapshots, one WAL.
+""":class:`ShardedSnapshotStore`: the durable store -- one directory, N
+shard snapshots, one WAL.
 
-The sharded twin of :class:`repro.store.SnapshotStore`, holding a
-:class:`repro.shard.ShardedIndex` durable under the same recovery
-contract::
+Every store directory the serving stack opens goes through this class,
+for any shard count N >= 1; it holds a :class:`repro.shard.ShardedIndex`
+durable under one recovery contract::
 
     store/
         shards.manifest       layout: placement, shard -> global ids,
@@ -11,14 +12,13 @@ contract::
         shard-01-g3.snap      (the ordinary section codec, reused)
         index.wal             appends acknowledged since the manifest
 
-Two deliberate choices keep the unsharded guarantees intact:
+Two deliberate choices keep the flat layout's guarantees intact:
 
 * **One global WAL, global ``base`` offsets.**  Appends log exactly the
-  bytes an unsharded store would log (the router owns global record
-  ids), so the WAL is byte-identical to :class:`SnapshotStore`'s for
-  the same append history, replay reuses the same skip/gap rules -- and
-  migrating a directory between sharded and unsharded layouts never
-  reinterprets the log.
+  bytes the flat :class:`repro.store.SnapshotStore` would log (the
+  router owns global record ids), so the WAL is byte-identical for the
+  same append history, replay reuses the same skip/gap rules -- and
+  migrating a flat directory never reinterprets the log.
 * **Generation-suffixed shard snapshots, manifest-flip publication.**
   A snapshot of N shards is N files; writing them under the *next*
   generation's names and then atomically publishing the manifest (the
@@ -28,13 +28,18 @@ Two deliberate choices keep the unsharded guarantees intact:
   only after the flip; orphans from a crashed save are swept on the
   next one.
 
-:meth:`open` adds one sharded-only degradation step before the rebuild
-of last resort: a directory holding an *unsharded* ``index.snap`` is
-migrated (load through :class:`SnapshotStore` -- same WAL file, same
-replay -- then saved sharded), and a manifest whose shard count or
-placement kind differs from what the boot requested is resharded from
-the loaded records.  Both preserve every acknowledged append; only
-actual damage costs records, exactly as unsharded.
+:meth:`open` is the serving path.  A directory still holding a flat
+``index.snap`` is migrated (same WAL file, same replay, then saved
+sharded), and a manifest whose shard count or placement kind differs
+from what the boot requested is resharded from the loaded records; both
+preserve every acknowledged append.  Actual damage in either layout --
+the typed :class:`~repro.api.errors.CorruptSnapshotError` /
+:class:`~repro.api.errors.WalReplayError` -- **degrades to a full
+rebuild** from the boot corpus, counted in
+``runtime_counters()["store_rebuilds"]`` and in :meth:`status`, the same
+observable-degradation pattern as the pool's crash recovery.  Records
+that lived only in a damaged store are gone by definition; the corpus
+the process was booted with is the recovery floor.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.store.snapshot import index_from_sections, index_to_sections
 from repro.store.store import SNAPSHOT_NAME, WAL_NAME, SnapshotStore
 from repro.store.wal import WriteAheadLog
 
-__all__ = ["ShardedSnapshotStore", "is_sharded_store"]
+__all__ = ["ShardedSnapshotStore"]
 
 MANIFEST_NAME = "shards.manifest"
 
@@ -59,18 +64,11 @@ MANIFEST_NAME = "shards.manifest"
 MANIFEST_VERSION = 1
 
 
-def is_sharded_store(directory: str) -> bool:
-    """Whether ``directory`` holds a sharded store layout."""
-    return os.path.exists(os.path.join(directory, MANIFEST_NAME))
-
-
 class ShardedSnapshotStore:
-    """Durable snapshot + WAL lifecycle for one :class:`ShardedIndex`.
-
-    Same write-path surface as :class:`repro.store.SnapshotStore`
-    (``log_append`` / ``maybe_compact`` / ``save`` / ``status``), so the
-    session's durability hooks drive either store unchanged.
-    """
+    """Durable snapshot + WAL lifecycle for one :class:`ShardedIndex`
+    (the session's ``store_dir``): ``open`` / ``load`` to read,
+    ``log_append`` / ``maybe_compact`` / ``save`` to write, ``status``
+    for the health block."""
 
     def __init__(
         self,
@@ -82,13 +80,14 @@ class ShardedSnapshotStore:
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.manifest_path = os.path.join(directory, MANIFEST_NAME)
+        self.flat_path = os.path.join(directory, SNAPSHOT_NAME)
         self.wal = WriteAheadLog(os.path.join(directory, WAL_NAME))
         self.compact_after_records = compact_after_records
         self.compact_after_bytes = compact_after_bytes
         self.rebuilds = 0
         self.loaded_from_snapshot = False
-        #: Whether the last :meth:`open` changed the shard layout (an
-        #: unsharded migration or an N/placement reshard) -- data
+        #: Whether the last :meth:`open` changed the shard layout (a
+        #: flat migration or an N/placement reshard) -- data
         #: preserved, so distinct from :attr:`rebuilds`.
         self.resharded = False
         self._wal_records = 0
@@ -147,8 +146,8 @@ class ShardedSnapshotStore:
             except OSError:
                 pass
 
-    # One global WAL under global ``base`` offsets, so the unsharded
-    # store's write path and replay rule apply verbatim.
+    # One global WAL under global ``base`` offsets, so the flat store's
+    # write path and replay rule apply verbatim.
     log_append = SnapshotStore.log_append
     maybe_compact = SnapshotStore.maybe_compact
     _replay_into = SnapshotStore._replay_into
@@ -160,7 +159,7 @@ class ShardedSnapshotStore:
 
         Raises :class:`FileNotFoundError` when no manifest exists and
         the typed snapshot/WAL errors on damage; a torn WAL tail is
-        truncated and the intact prefix served, exactly as unsharded.
+        truncated and the intact prefix served, exactly as flat.
         """
         manifest = self._read_manifest()
         placement = placement_from_manifest(manifest["placement"])
@@ -254,7 +253,7 @@ class ShardedSnapshotStore:
         self,
         names=None,
         *,
-        n_shards: int = 2,
+        n_shards: int = 1,
         placement: str = "length",
         tokenizer=None,
         backend: str = "auto",
@@ -262,127 +261,82 @@ class ShardedSnapshotStore:
     ) -> ShardedIndex:
         """The serving load: use the store, migrate/reshard, or degrade.
 
-        In order of preference: load the sharded layout (resharding when
-        ``n_shards``/``placement`` differ from what is on disk); migrate
-        a directory still holding an unsharded ``index.snap`` (same WAL,
-        same replay -- nothing acknowledged is lost); first-boot build
-        from ``names``; and only for actual damage, the counted degraded
-        rebuild from the boot corpus.
+        In order of preference: load the sharded layout; migrate a
+        directory still holding a flat ``index.snap`` (same WAL, same
+        replay -- nothing acknowledged is lost); reshard when
+        ``n_shards``/``placement`` differ from what is on disk; first-
+        boot build from ``names``; and only for actual damage -- a typed
+        snapshot/WAL error from either layout -- the counted degraded
+        rebuild from the boot corpus (with no corpus to rebuild from the
+        typed error propagates).  Every build publishes the manifest and
+        retires a flat ``index.snap``.
         """
+
+        def build(corpus, tokenizer=tokenizer) -> ShardedIndex:
+            index = ShardedIndex(
+                corpus,
+                n_shards=n_shards,
+                placement=placement,
+                tokenizer=tokenizer,
+                backend=backend,
+                cache_size=cache_size,
+            )
+            self.save(index)
+            try:
+                os.remove(self.flat_path)
+            except OSError:
+                pass
+            return index
+
         self.resharded = False
         try:
-            loaded = self.load(cache_size=cache_size)
-        except FileNotFoundError:
-            migrated = self._migrate_unsharded(
-                n_shards, placement, tokenizer, backend, cache_size
-            )
-            if migrated is not None:
-                return migrated
-            if self.wal.size_bytes():
-                return self._rebuild(
-                    names,
-                    CorruptSnapshotError(
-                        f"shard manifest {self.manifest_path!r} is missing "
-                        "but its append log is not"
-                    ),
-                    n_shards, placement, tokenizer, backend, cache_size,
-                )
-        except (CorruptSnapshotError, WalReplayError) as exc:
-            return self._rebuild(
-                names, exc, n_shards, placement, tokenizer, backend, cache_size
-            )
-        else:
-            if (
-                len(loaded.shards) != n_shards
-                or loaded.placement.kind != placement
-            ):
-                return self._reshard(
-                    loaded, n_shards, placement, tokenizer, backend, cache_size
-                )
-            return loaded
-        # First boot: nothing on disk yet.
-        index = ShardedIndex(
-            names or (),
-            n_shards=n_shards,
-            placement=placement,
-            tokenizer=tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        return index
+            loaded = self._load_any(cache_size)
+        except (CorruptSnapshotError, WalReplayError):
+            if names is None:
+                raise
+            from repro.runtime import pool
 
-    def _migrate_unsharded(
-        self, n_shards, placement, tokenizer, backend, cache_size
-    ):
-        """Adopt a directory written by the unsharded store, losslessly.
-
-        :class:`SnapshotStore` shares this directory's WAL file and
-        replay rules, so loading through it applies every acknowledged
-        append; saving sharded then retires ``index.snap``.
-        """
-        snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
-        if not os.path.exists(snapshot_path):
-            return None
-        flat = SnapshotStore(self.directory).load()
-        index = ShardedIndex(
-            flat.names,
-            n_shards=n_shards,
-            placement=placement,
-            tokenizer=tokenizer or flat.tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        try:
-            os.remove(snapshot_path)
-        except OSError:
-            pass
+            pool._bump("store_rebuilds")
+            self.rebuilds += 1
+            self.loaded_from_snapshot = False
+            return build(names)
+        if loaded is None:
+            return build(names or ())  # first boot: nothing on disk yet
         self.loaded_from_snapshot = True
+        if (
+            isinstance(loaded, ShardedIndex)
+            and len(loaded.shards) == n_shards
+            and loaded.placement.kind == placement
+        ):
+            return loaded
         self.resharded = True
-        return index
+        return build(loaded.names, tokenizer or loaded.tokenizer)
 
-    def _reshard(self, loaded, n_shards, placement, tokenizer, backend, cache_size):
-        """Re-partition a loaded corpus to the requested layout and save."""
-        index = ShardedIndex(
-            loaded.names,
-            n_shards=n_shards,
-            placement=placement,
-            tokenizer=tokenizer or loaded.tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        self.resharded = True
-        return index
-
-    def _rebuild(
-        self, names, cause, n_shards, placement, tokenizer, backend, cache_size
-    ):
-        """Degrade: full rebuild from the boot corpus, counted."""
-        from repro.runtime import pool
-
-        if names is None:
-            raise cause
-        pool._bump("store_rebuilds")
-        self.rebuilds += 1
-        self.loaded_from_snapshot = False
-        index = ShardedIndex(
-            names,
-            n_shards=n_shards,
-            placement=placement,
-            tokenizer=tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        return index
+    def _load_any(self, cache_size: int):
+        """The stored index: the sharded layout, else a flat ``index.snap``
+        (a :class:`SimilarityIndex` with the WAL replayed, to migrate),
+        else ``None`` on a first boot.  Damage raises the typed errors."""
+        try:
+            return self.load(cache_size=cache_size)
+        except FileNotFoundError:
+            pass
+        try:
+            flat = index_from_sections(read_snapshot_file(self.flat_path))
+        except FileNotFoundError:
+            if self.wal.size_bytes():
+                # A WAL without its snapshot holds appends relative to
+                # state that no longer exists: unrecoverable as-is.
+                raise CorruptSnapshotError(
+                    f"shard manifest {self.manifest_path!r} is missing "
+                    "but its append log is not"
+                ) from None
+            return None
+        return self._replay_into(flat, len(flat))
 
     # -- observability -----------------------------------------------------------
 
     def status(self) -> dict:
-        """The ``store`` block for ``/v1/health`` and ``/v1/metrics`` --
-        the unsharded keys plus the shard layout."""
+        """The ``store`` block for ``/v1/health`` and ``/v1/metrics``."""
         try:
             last_compaction = os.path.getmtime(self.manifest_path)
         except OSError:

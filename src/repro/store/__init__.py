@@ -10,7 +10,8 @@ The persistence layer under ``Session(store_dir=...)``, ``Session.save``
 * :mod:`repro.store.wal` -- the fsync-before-mutate append log with
   torn-tail tolerance;
 * :mod:`repro.store.store` -- :class:`SnapshotStore`, composing them
-  into load / degrade-to-rebuild / compact semantics.
+  into the flat layout's save / load / compact semantics (serving opens
+  every directory through :class:`repro.shard.ShardedSnapshotStore`).
 """
 
 from repro.store.format import (

@@ -1,9 +1,8 @@
-""":class:`SnapshotStore`: one directory holding a durable index.
+""":class:`SnapshotStore`: the flat single-file layout of a durable index.
 
 The store composes the container (:mod:`repro.store.format`), the
 section codec (:mod:`repro.store.snapshot`) and the append log
-(:mod:`repro.store.wal`) into the recovery contract the serving layer
-builds on::
+(:mod:`repro.store.wal`) for one :class:`~repro.service.SimilarityIndex`::
 
     store/
         index.snap   the latest atomic snapshot (previous one until the
@@ -17,15 +16,16 @@ builds on::
 * :meth:`load` is the strict path: snapshot + WAL replay, raising the
   typed :class:`~repro.api.errors.CorruptSnapshotError` /
   :class:`~repro.api.errors.WalReplayError` on damage.
-* :meth:`open` is the serving path: load when possible, otherwise
-  **degrade to a full rebuild** from the supplied corpus -- counted in
-  ``runtime_counters()["store_rebuilds"]`` and in :meth:`status`, the
-  same observable-degradation pattern as the pool's crash recovery.
-  Records that lived only in a corrupted store are gone by definition;
-  the corpus the process was booted with is the recovery floor.
 * :meth:`log_append` + :meth:`maybe_compact` are the write path: WAL
   first (fsynced), memory second, snapshot when the log grows past its
   thresholds.
+
+Serving does not open this layout directly: every store directory goes
+through :class:`repro.shard.ShardedSnapshotStore`, which borrows the
+write path and the replay rule above, migrates a flat ``index.snap`` on
+first open, and owns the degrade-to-rebuild path and the health block.
+This class stays the flat file codec that migration, the one-shot
+``Session.save`` export and the benchmarks use.
 
 Chaos hooks: the container's writer passes ``store.write`` /
 ``store.fsync`` fault points (shared with :meth:`WriteAheadLog.append`),
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 
-from repro.api.errors import CorruptSnapshotError, WalReplayError
+from repro.api.errors import WalReplayError
 from repro.faults import FaultInjected, fault_point
 from repro.store.format import read_snapshot_file, write_snapshot_file
 from repro.store.snapshot import index_from_sections, index_to_sections
@@ -51,7 +51,7 @@ WAL_NAME = "index.wal"
 
 
 class SnapshotStore:
-    """Durable snapshot + WAL lifecycle for one ``SimilarityIndex``.
+    """Flat snapshot + WAL files for one ``SimilarityIndex``.
 
     Parameters
     ----------
@@ -75,11 +75,6 @@ class SnapshotStore:
         self.wal = WriteAheadLog(os.path.join(directory, WAL_NAME))
         self.compact_after_records = compact_after_records
         self.compact_after_bytes = compact_after_bytes
-        #: Degraded loads this store performed (mirrors the process-wide
-        #: ``store_rebuilds`` runtime counter, scoped to this store).
-        self.rebuilds = 0
-        #: Whether the last :meth:`open`/:meth:`load` used the snapshot.
-        self.loaded_from_snapshot = False
         self._wal_records = 0
 
     # -- the write path ---------------------------------------------------------
@@ -126,9 +121,7 @@ class SnapshotStore:
         the intact prefix served.
         """
         index = index_from_sections(read_snapshot_file(self.snapshot_path))
-        self._replay_into(index, len(index))
-        self.loaded_from_snapshot = True
-        return index
+        return self._replay_into(index, len(index))
 
     def _replay_into(self, index, snapshot_records: int):
         """Apply the WAL past a snapshot of ``snapshot_records`` records.
@@ -161,86 +154,3 @@ class SnapshotStore:
             index.append(pending)
         self._wal_records = len(records)
         return index
-
-    def open(
-        self,
-        names=None,
-        *,
-        tokenizer=None,
-        backend: str = "auto",
-        cache_size: int = 256,
-    ):
-        """The serving load: use the store, degrade to a rebuild, seed.
-
-        * An intact store loads (snapshot + replay).
-        * A damaged store -- typed snapshot/WAL errors -- **rebuilds**
-          from ``names`` (the boot corpus), publishes a fresh snapshot,
-          and counts the degradation; with no corpus to rebuild from the
-          typed error propagates.
-        * An empty directory is a first boot: build from ``names`` (or
-          empty, ready for appends) and publish the initial snapshot.
-        """
-        from repro.service import SimilarityIndex
-
-        try:
-            return self.load()
-        except FileNotFoundError:
-            if self.wal.size_bytes():
-                # A WAL without its snapshot holds appends relative to
-                # state that no longer exists: unrecoverable as-is.
-                return self._rebuild(
-                    names,
-                    CorruptSnapshotError(
-                        f"snapshot {self.snapshot_path!r} is missing but "
-                        "its append log is not"
-                    ),
-                    tokenizer,
-                    backend,
-                    cache_size,
-                )
-        except (CorruptSnapshotError, WalReplayError) as exc:
-            return self._rebuild(names, exc, tokenizer, backend, cache_size)
-        # First boot: nothing on disk yet.
-        index = SimilarityIndex(
-            names or (),
-            tokenizer=tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        return index
-
-    def _rebuild(self, names, cause, tokenizer, backend: str, cache_size: int):
-        """Degrade: full rebuild from the corpus, fresh snapshot, counted."""
-        from repro.runtime import pool
-        from repro.service import SimilarityIndex
-
-        if names is None:
-            raise cause
-        pool._bump("store_rebuilds")
-        self.rebuilds += 1
-        self.loaded_from_snapshot = False
-        index = SimilarityIndex(
-            names,
-            tokenizer=tokenizer,
-            backend=backend,
-            cache_size=cache_size,
-        )
-        self.save(index)
-        return index
-
-    # -- observability -----------------------------------------------------------
-
-    def status(self) -> dict:
-        """The ``store`` block ``/v1/health`` reports."""
-        try:
-            last_compaction = os.path.getmtime(self.snapshot_path)
-        except OSError:
-            last_compaction = None
-        return {
-            "loaded": self.loaded_from_snapshot,
-            "wal_records": self._wal_records,
-            "last_compaction": last_compaction,
-            "torn_tail_truncated": self.wal.torn_tail_truncated,
-            "rebuilds": self.rebuilds,
-        }

@@ -136,6 +136,15 @@ class TestResidency:
         assert stats["resident_corpora"] == 1
         assert stats["corpora"][0]["tokenized"]
 
+    def test_search_is_served_by_a_one_shard_router(self, session):
+        from repro.shard import ShardedIndex
+
+        session.run(TopKSpec(queries=("barak obana",), k=2))
+        (index,) = session._corpus(None)._indexes.values()
+        assert isinstance(index, ShardedIndex)
+        assert len(index.shards) == 1
+        assert session.shard_status()["sizes"] == [len(NAMES)]
+
     def test_lru_bounds_resident_corpora(self):
         session = Session(max_resident=2)
         for offset in range(3):

@@ -117,3 +117,45 @@ def test_append_keeps_invariance():
         ["veronika dhal"], 0.3
     )
     assert sharded.counters == serial.counters
+
+
+@pytest.mark.parametrize("n_shards", (1, 3))
+def test_router_and_shards_share_each_record(n_shards):
+    sharded = ShardedIndex(CORPUS, n_shards=n_shards)
+    sharded.append(["veronika dahl", "a very much longer appended name indeed"])
+    for global_id, record in enumerate(sharded.records):
+        shard_index, local_id = sharded._locations[global_id]
+        assert sharded.shards[shard_index].records[local_id] is record
+
+
+def test_one_shard_fans_the_batch_out_over_the_pool():
+    # Pooled batches are served exactly as a single index serves them:
+    # same answers as in process, and the same counters as a pooled
+    # single index (each worker chunk runs against its own cache copy).
+    single = oracle()
+    sharded = ShardedIndex(CORPUS, n_shards=1)
+    try:
+        for index in (single, sharded):
+            assert index.topk(QUERIES, k=3, processes=2) == oracle().topk(
+                QUERIES, k=3
+            )
+            assert index.within(QUERIES, 0.3, processes=2) == oracle().within(
+                QUERIES, 0.3
+            )
+        assert sharded.counters == single.counters
+        # The router itself was published: workers served whole queries.
+        assert sharded._published is not None
+        sharded.append(["veronika dahl"])
+        assert sharded._published is None  # an append withdraws it
+    finally:
+        single.unpublish()
+        sharded.unpublish()
+
+
+def test_router_pickles_as_a_distinct_publication():
+    import pickle
+
+    sharded = ShardedIndex(CORPUS, n_shards=2)
+    clone = pickle.loads(pickle.dumps(sharded))
+    assert clone.share_key != sharded.share_key
+    assert clone.topk(QUERIES, k=3) == sharded.topk(QUERIES, k=3)

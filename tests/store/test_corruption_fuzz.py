@@ -1,17 +1,18 @@
 """Byte-flip fuzz: a damaged store never tracebacks, never lies.
 
-The property, over random byte flips in the snapshot and the WAL:
+The property, over random byte flips in the store's files:
 
-* the strict path (``SnapshotStore.load``) either succeeds or raises a
-  *typed* error (:class:`CorruptSnapshotError` / :class:`WalReplayError`)
-  -- never any other exception;
+* the strict path (``SnapshotStore.load``, the flat codec) either
+  succeeds or raises a *typed* error (:class:`CorruptSnapshotError` /
+  :class:`WalReplayError`) -- never any other exception;
 * when it succeeds anyway (flips can land in alignment padding, which
   is deliberately outside the checksums), the loaded index answers
   byte-identically to a freshly built oracle -- corruption is either
   detected or semantically absent, never silently served;
-* the serving path (``open(names=...)``) always comes up, and its
-  answers match one of the two legitimate states: the durable corpus
-  (load succeeded) or the boot corpus (degraded rebuild).
+* the serving path (``ShardedSnapshotStore.open(names=...)``, over a
+  flat directory it must migrate and over the sharded layout) always
+  comes up, and its answers match one of the two legitimate states: the
+  durable corpus (load succeeded) or the boot corpus (degraded rebuild).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.api.errors import CorruptSnapshotError, WalReplayError
 from repro.service import SimilarityIndex
+from repro.shard import ShardedSnapshotStore
 from repro.store import SnapshotStore
 
 pytestmark = pytest.mark.tier1
@@ -37,21 +39,32 @@ QUERIES = ("barak obana", "veronika dhal", "jon smith")
 
 TYPED = (CorruptSnapshotError, WalReplayError)
 
+#: The serving path's layout; the flat directory migrates into it.
+N_SHARDS = 2
 
-def pristine_store_bytes() -> tuple[bytes, bytes]:
-    """One snapshot + one-record-per-append WAL, as bytes."""
+
+def pristine_files(layout: str) -> dict[str, bytes]:
+    """One snapshot + one-record-per-append WAL, as ``{file: bytes}``."""
     with tempfile.TemporaryDirectory() as directory:
-        store = SnapshotStore(directory)
-        index = store.open(names=BOOT_NAMES)
+        if layout == "flat":
+            store = SnapshotStore(directory)
+            index = SimilarityIndex(BOOT_NAMES)
+            store.save(index)
+        else:
+            store = ShardedSnapshotStore(directory)
+            index = store.open(names=BOOT_NAMES, n_shards=N_SHARDS)
         for name in APPENDED:
             store.log_append([name], base=len(index))
             index.append([name])
-        snapshot = open(store.snapshot_path, "rb").read()
-        wal = open(store.wal.path, "rb").read()
-    return snapshot, wal
+        return {
+            entry: open(os.path.join(directory, entry), "rb").read()
+            for entry in os.listdir(directory)
+        }
 
 
-SNAPSHOT_BYTES, WAL_BYTES = pristine_store_bytes()
+LAYOUTS = {layout: pristine_files(layout) for layout in ("flat", "sharded")}
+SNAPSHOT_BYTES = LAYOUTS["flat"]["index.snap"]
+WAL_BYTES = LAYOUTS["flat"]["index.wal"]
 
 ORACLE_DURABLE = SimilarityIndex(BOOT_NAMES + APPENDED)
 ORACLE_BOOT = SimilarityIndex(BOOT_NAMES)
@@ -65,13 +78,12 @@ def flip(data: bytes, positions, masks) -> bytes:
 
 
 @contextlib.contextmanager
-def materialize(snapshot: bytes, wal: bytes):
+def materialize(files: dict[str, bytes]):
     directory = tempfile.mkdtemp(prefix="fuzz-store-")
     try:
-        with open(os.path.join(directory, "index.snap"), "wb") as handle:
-            handle.write(snapshot)
-        with open(os.path.join(directory, "index.wal"), "wb") as handle:
-            handle.write(wal)
+        for entry, data in files.items():
+            with open(os.path.join(directory, entry), "wb") as handle:
+                handle.write(data)
         yield directory
     finally:
         shutil.rmtree(directory, ignore_errors=True)
@@ -97,7 +109,7 @@ class TestStrictLoad:
             snapshot = flip(snapshot, positions, masks)
         else:
             wal = flip(wal, positions, masks)
-        with materialize(snapshot, wal) as directory:
+        with materialize({"index.snap": snapshot, "index.wal": wal}) as directory:
             store = SnapshotStore(directory)
             try:
                 index = store.load()
@@ -116,17 +128,19 @@ class TestStrictLoad:
 
 class TestServingRecovery:
     @settings(max_examples=40, deadline=None)
-    @given(damage=flips, target=st.sampled_from(["snapshot", "wal"]))
-    def test_open_always_comes_up_serving(self, damage, target):
+    @given(
+        damage=flips,
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        target=st.integers(min_value=0),
+    )
+    def test_open_always_comes_up_serving(self, damage, layout, target):
         positions, masks = damage
-        snapshot, wal = SNAPSHOT_BYTES, WAL_BYTES
-        if target == "snapshot":
-            snapshot = flip(snapshot, positions, masks)
-        else:
-            wal = flip(wal, positions, masks)
-        with materialize(snapshot, wal) as directory:
-            store = SnapshotStore(directory)
-            index = store.open(names=BOOT_NAMES)
+        files = dict(LAYOUTS[layout])
+        victim = sorted(files)[target % len(files)]
+        files[victim] = flip(files[victim], positions, masks)
+        with materialize(files) as directory:
+            store = ShardedSnapshotStore(directory)
+            index = store.open(names=BOOT_NAMES, n_shards=N_SHARDS)
             # Whatever happened, the process serves; and what it serves
             # is one of the two legitimate states, matched exactly.
             oracle = SimilarityIndex(index.names)
@@ -135,8 +149,9 @@ class TestServingRecovery:
                 assert index.names == list(BOOT_NAMES)
             else:
                 assert index.names[: len(BOOT_NAMES)] == list(BOOT_NAMES)
-            # and the recovery republished/kept a loadable store
-            reborn = SnapshotStore(directory)
-            reloaded = reborn.open(names=BOOT_NAMES)
+            # and the recovery republished/kept a loadable sharded store
+            assert not os.path.exists(os.path.join(directory, "index.snap"))
+            reborn = ShardedSnapshotStore(directory)
+            reloaded = reborn.open(names=BOOT_NAMES, n_shards=N_SHARDS)
             assert reloaded.names == index.names
             assert reborn.rebuilds == 0

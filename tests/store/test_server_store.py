@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Session, TopKSpec
 from repro.server import SimilarityService
-from repro.store import SnapshotStore
 
 pytestmark = pytest.mark.tier1
 
@@ -104,8 +103,8 @@ class TestHealthStoreBlock:
         assert payload["store"]["last_compaction"] is not None
 
     def test_degraded_after_store_rebuild(self, store_dir):
-        Session(NAMES, store_dir=store_dir)
-        snapshot_path = SnapshotStore(store_dir).snapshot_path
+        store = Session(NAMES, store_dir=store_dir)._store
+        snapshot_path = store._shard_path(0, store._generation)
         with open(snapshot_path, "r+b") as handle:
             handle.seek(40)
             byte = handle.read(1)
@@ -125,3 +124,21 @@ class TestHealthStoreBlock:
         )
         assert status == 200
         assert payload["matches"][0][0][0] == "barak obama"
+
+
+class TestHealthShardBlock:
+    def test_unsharded_service_reports_one_shard(self):
+        service = SimilarityService(Session(NAMES))
+        _, health = service.handle("GET", "/v1/health")
+        assert health["shards"] is None  # no index resident yet
+        spec = TopKSpec(queries=("barak obana",), k=1)
+        service.handle("POST", "/v1/search", json.dumps(spec.to_dict()).encode())
+        for route in ("/v1/health", "/v1/metrics"):
+            _, payload = service.handle("GET", route)
+            assert payload["shards"]["shards"] == 1
+            assert payload["shards"]["sizes"] == [len(NAMES)]
+
+    def test_store_backed_service_reports_its_layout(self, service):
+        _, health = service.handle("GET", "/v1/health")
+        assert health["shards"]["shards"] == 1
+        assert health["shards"]["placement"]["kind"] == "length"

@@ -114,3 +114,46 @@ class TestSaveLoad:
         # so the typed error propagates instead of degrading
         with pytest.raises(CorruptSnapshotError):
             Session.load(path)
+
+
+class TestSaveLoadLayouts:
+    def test_sharded_save_keeps_the_session_sharded(self, tmp_path):
+        session = Session(NAMES, shards=3)
+        path = str(tmp_path / "export")
+        session.save(path)
+        assert session.shard_status()["shards"] == 3
+        result = session.run(TopKSpec(queries=("barak obana",), k=2))
+        assert result.matches == Session(NAMES).run(
+            TopKSpec(queries=("barak obana",), k=2)
+        ).matches
+        assert session.shard_status()["shards"] == 3
+
+    def test_sharded_save_loads_as_the_same_layout(self, tmp_path):
+        path = str(tmp_path / "export")
+        Session(NAMES, shards=3, placement="hash").save(path)
+        loaded = Session.load(path)
+        assert loaded.shards == 3 and loaded.placement == "hash"
+        assert loaded.shard_status()["shards"] == 3
+        spec = TopKSpec(queries=("jon smith",), k=3)
+        assert loaded.run(spec).matches == Session(NAMES).run(spec).matches
+
+    def test_flat_export_is_the_flat_single_index_file(self, tmp_path):
+        from repro.service import SimilarityIndex
+        from repro.store import index_to_sections, write_snapshot_file
+
+        ours, flat = str(tmp_path / "ours.snap"), str(tmp_path / "flat.snap")
+        Session(NAMES, cache_size=64).save(ours)
+        write_snapshot_file(
+            flat, index_to_sections(SimilarityIndex(NAMES, cache_size=64))
+        )
+        assert open(ours, "rb").read() == open(flat, "rb").read()
+
+    def test_flat_file_loads_as_a_one_shard_router(self, tmp_path):
+        from repro.shard import ShardedIndex
+
+        path = str(tmp_path / "x.snap")
+        Session(NAMES, cache_size=64).save(path)
+        loaded = Session.load(path)
+        index = loaded._durable_index
+        assert isinstance(index, ShardedIndex) and len(index.shards) == 1
+        assert index.result_cache.capacity == loaded.cache_size == 64
