@@ -41,11 +41,12 @@ Substrates and baselines:
   joins.
 * :mod:`repro.data` -- synthetic name corpora and the fraud-ring model.
 * :mod:`repro.analysis` -- ROC, recall and similarity-graph clustering.
-* :mod:`repro.shard` -- the serving index and its store:
-  :class:`repro.ShardedIndex` scatter-gathers N >= 1 placement-
-  partitioned shards with results and counters invariant in the shard
-  count (``Session(shards=N)`` / ``serve --shards``, one shard by
-  default), and :class:`repro.ShardedSnapshotStore` is the durable store
+* :mod:`repro.shard` -- placement and the store of the serving index:
+  :class:`repro.ShardedIndex` is :class:`repro.service.SimilarityIndex`
+  itself, which routes each probe over N >= 1 placement-partitioned
+  shard kernels with results and counters invariant in the shard count
+  (``Session(shards=N)`` / ``serve --shards``, one shard by default),
+  and :class:`repro.ShardedSnapshotStore` is the durable store
   behind ``Session(store_dir=...)`` / ``serve --store``: warm restart,
   migration of flat directories, degrade-to-rebuild.
 * :mod:`repro.store` -- the files underneath: crash-safe snapshots,

@@ -11,9 +11,9 @@ specs deliberately do not carry:
   selectors (spec fields override per request);
 * the **resident-corpus lifecycle**: corpora named by specs (or passed
   to ``run``) are tokenized once and kept in a small LRU, and the
-  serving paths build one :class:`repro.shard.ShardedIndex` per corpus
-  -- N >= 1 :class:`repro.service.SimilarityIndex` shards behind one
-  router, build-once/query-many -- reused across specs.
+  serving paths build one :class:`repro.service.SimilarityIndex` per
+  corpus -- N >= 1 shard kernels behind one index, build-once/query-many
+  -- reused across specs.
 
 The module-level :func:`run` serves the one-liner case through a shared
 process-default session, so repeated calls amortize tokenization and
@@ -26,7 +26,6 @@ index builds exactly like an explicit session would::
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Sequence
@@ -94,15 +93,15 @@ class _Corpus:
 
     def index(self, backend: str, cache_size: int, shards: int, placement: str):
         """The resident serving index (lazy): a
-        :class:`repro.shard.ShardedIndex` of ``shards`` shards (results
-        and counters are shard-count invariant, so the cached index is
-        keyed by backend alone)."""
+        :class:`repro.service.SimilarityIndex` of ``shards`` shards
+        (results and counters are shard-count invariant, so the cached
+        index is keyed by backend alone)."""
         built = self._indexes.get(backend)
         if built is None:
-            from repro.shard import ShardedIndex
+            from repro.service import SimilarityIndex
 
             start = time.perf_counter()
-            built = ShardedIndex(
+            built = SimilarityIndex(
                 self.names,
                 n_shards=shards,
                 placement=placement,
@@ -139,7 +138,7 @@ class Session:
         How many distinct corpora the session keeps resident at once.
     shards / placement:
         Serving layout.  Every resident index is a
-        :class:`repro.shard.ShardedIndex` of ``shards`` partitions under
+        :class:`repro.service.SimilarityIndex` of ``shards`` partitions under
         the given placement (``"length"`` for Lemma 6 shard pruning,
         ``"hash"`` for the uniform baseline), scatter-gather routed; one
         shard (the default) has nothing to scatter.  Results, counters
@@ -303,19 +302,13 @@ class Session:
             return path
         from repro.store import index_to_sections, write_snapshot_file
 
-        # Shard 0 holds exactly a flat build's ids and vocab; it runs
-        # cache-free, so the file records the router's cache size.
-        sections = index_to_sections(index.shards[0])
-        meta = json.loads(sections["meta"])
-        meta["cache_size"] = index.result_cache.capacity
-        sections["meta"] = json.dumps(meta, ensure_ascii=False).encode("utf-8")
-        write_snapshot_file(path, sections)
+        write_snapshot_file(path, index_to_sections(index))
         return path
 
     @classmethod
     def load(cls, path: str, *, engine: str = "auto", max_resident: int = 4):
         """Rebuild a session from a :meth:`save` export: a flat snapshot
-        file (served as a 1-shard router) or a sharded store directory.
+        file (a one-shard index) or a sharded store directory.
         Strict: a damaged export raises the typed
         :class:`~repro.api.errors.CorruptSnapshotError`.
 
@@ -324,23 +317,14 @@ class Session:
         and becomes the session's durable corpus; the session takes its
         shard layout.
         """
-        from repro.shard import ShardedIndex, ShardedSnapshotStore
-
         if os.path.isdir(path):
+            from repro.shard import ShardedSnapshotStore
+
             index = ShardedSnapshotStore(path).load()
         else:
-            from repro.shard.placement import LengthPlacement
             from repro.store import index_from_sections, read_snapshot_file
 
-            flat = index_from_sections(read_snapshot_file(path))
-            index = ShardedIndex.from_shards(
-                [flat],
-                LengthPlacement(1, ()),
-                [range(len(flat))],
-                tokenizer=flat.tokenizer,
-                backend=flat.backend,
-                cache_size=flat.result_cache.capacity,
-            )
+            index = index_from_sections(read_snapshot_file(path))
         session = cls(
             tokenizer=index.tokenizer,
             backend=index.backend,
@@ -359,7 +343,7 @@ class Session:
 
     def shard_status(self) -> dict | None:
         """The serving index's shard block: per-shard sizes, placement
-        and the router's ``shards_probed``/``shards_pruned`` tallies.
+        and the index's ``shards_probed``/``shards_pruned`` tallies.
 
         Reports the durable index, else the first resident one; ``None``
         until some index is resident.

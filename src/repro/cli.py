@@ -20,7 +20,7 @@ Subcommands
 ``knn``       Nearest neighbours of one or more names from a resident
               index (VP-tree over NSLD, built once for the whole batch).
 ``search``    Serve top-k or range queries from a resident
-              :class:`repro.shard.ShardedIndex` (build once, query
+              :class:`repro.service.SimilarityIndex` (build once, query
               many; ``--shards N``, one by default).
 ``run``       Execute a spec from a JSON file (``--spec spec.json``, or
               ``--spec -`` for stdin) -- the declarative entry point;

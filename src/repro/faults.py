@@ -428,7 +428,8 @@ def fault_point(site: str) -> None:
     ``verify.chunk``        inside a ``verify_pairs`` worker chunk
     ``engine.map``          inside a parallel-engine map shard
     ``engine.reduce``       inside a parallel-engine reduce shard
-    ``serve.chunk``         inside a pool-served query chunk
+    ``serve.chunk``         inside a pool-served query chunk or shard
+                            scatter call
     ``server.run``          the HTTP server, before executing a parsed spec
     ``client.send``         the SDK, before writing a request to the socket
     ``store.write``         the durable store, before writing snapshot/WAL

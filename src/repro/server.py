@@ -53,7 +53,7 @@ and ``/v1/metrics`` the full ``store.status()`` (WAL records, last
 compaction, torn-tail truncation, rebuilds).  Both always carry a
 ``shards`` block for the serving index (``serve(shards=N)`` / CLI
 ``--shards``, one shard by default): per-shard sizes, the placement,
-and the router's ``shards_probed``/``shards_pruned`` tallies -- ``null``
+and the index's ``shards_probed``/``shards_pruned`` tallies -- ``null``
 until an index is resident.
 
 Auth is a static bearer token (``Authorization: Bearer <token>``),
@@ -652,7 +652,7 @@ def serve(
     ``store_dir`` makes the session durable: boot warm-restarts from
     the snapshot + WAL (degrading to a rebuild from ``names`` when
     damaged) and ``/v1/append`` survives crashes.  ``shards`` sets the
-    :class:`repro.shard.ShardedIndex` layout every resident corpus is
+    :class:`repro.service.SimilarityIndex` layout every resident corpus is
     served through (same results and counters for any N by contract;
     per-shard persistence when combined with ``store_dir``).
     """

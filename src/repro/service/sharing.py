@@ -19,14 +19,17 @@ This module publishes a snapshot to the pool **once** instead:
   pickled to each worker exactly once at pool start-up -- the explicit
   broadcast fallback (cost: one snapshot pickle per worker, not per
   task);
-* serve tasks then ship only ``(token, queries, kwargs)`` -- the
-  snapshot never travels again, and results (plus the workers' counter
-  deltas, so observability survives the fan-out) come back positionally
-  aligned with the query batch.
+* tasks then ship only a token plus the query -- the snapshot never
+  travels again, and results come back with the counters (and routing
+  tallies) they charged, so observability survives the fan-out.
 
-Results are byte-identical to in-process serving: a serve task is a
-pure function of the published snapshot and the query batch
-(property-tested in ``tests/service/test_sharing.py``).
+Both pooled serving modes live here: :func:`serve_batch` (one shard:
+workers serve whole query chunks, each from an empty result cache) and :func:`scatter` (more shards: each
+kernel call of a query runs against ``index.shards[i]`` of a worker's
+copy).  Tasks carry the query, never token ids, which are minted per
+kernel and per process.  Results are byte-identical to in-process
+serving (property-tested in ``tests/service/test_sharing.py`` and
+``tests/shard/test_invariance.py``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import itertools
 import os
 from typing import Any, Sequence
 
+from repro.candidates import new_counters
 from repro.faults import fault_point
 from repro.runtime.pool import (
     in_worker_process,
@@ -122,21 +126,38 @@ def _counter_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, i
     }
 
 
+def _merge(into: dict[str, int], delta: dict[str, int]) -> None:
+    for name, value in delta.items():
+        into[name] = into.get(name, 0) + value
+
+
 def _serve_chunk(
     payload: tuple[str, str, list[str], dict],
-) -> tuple[list, dict[str, int]]:
+) -> tuple[list, dict[str, int], dict[str, int]]:
     """Worker entry point: serve one chunk of queries from the snapshot.
 
-    Returns the per-query results plus the counter increments this chunk
-    produced, so the parent can merge observability back in.
+    Returns the per-query results plus the counter and routing
+    increments this chunk produced, so the parent can merge
+    observability back in.  A worker's copy of the index outlives its
+    chunks, so each chunk starts from an empty result cache: the merged
+    counters then do not depend on which worker ran which chunk.
     """
     token, operation, queries, kwargs = payload
     fault_point("serve.chunk")
     index = resolve_snapshot(token)
-    before = dict(index.counters)
     serve = getattr(index, f"_{operation}_one")
+    if not in_worker_process():
+        # The pool's degraded in-process run serves the parent's own
+        # index, which charges itself.
+        return [serve(query, **kwargs) for query in queries], {}, {}
+    index.result_cache.clear()
+    counters, routing = dict(index.counters), dict(index.routing)
     results = [serve(query, **kwargs) for query in queries]
-    return results, _counter_delta(before, index.counters)
+    return (
+        results,
+        _counter_delta(counters, index.counters),
+        _counter_delta(routing, index.routing),
+    )
 
 
 def serve_batch(
@@ -151,9 +172,9 @@ def serve_batch(
     ``operation`` names a per-query serve method (``"topk"`` or
     ``"within"``); each worker resolves its local snapshot copy and runs
     the identical in-process code path, so results are byte-identical to
-    serial serving.  Counter deltas from the workers are merged into the
-    parent index's counters.  Falls back to in-process serving inside a
-    pool worker (nested fan-out is not allowed).
+    serial serving.  Counter and routing deltas from the workers are
+    merged into the parent index.  Falls back to in-process serving
+    inside a pool worker (nested fan-out is not allowed).
     """
     queries = list(queries)
     if in_worker_process() or processes <= 1 or len(queries) <= 1:
@@ -173,8 +194,50 @@ def serve_batch(
     outcomes = resilient_pool_map(
         _serve_chunk, chunks, workers, label="serve chunks"
     )
-    counters = index.counters
-    for _, delta in outcomes:
-        for name, value in delta.items():
-            counters[name] = counters.get(name, 0) + value
-    return [result for results, _ in outcomes for result in results]
+    for _, counters, routing in outcomes:
+        _merge(index.counters, counters)
+        _merge(index.routing, routing)
+    return [result for results, _, _ in outcomes for result in results]
+
+
+def _shard_call(payload: tuple[str, int, str, tuple]) -> tuple[Any, dict[str, int]]:
+    """Worker entry point: one kernel call against the worker's copy of a
+    published index, charged to a fresh counters dict it returns."""
+    token, shard_index, method, args = payload
+    fault_point("serve.chunk")
+    counters = new_counters()
+    kernel = resolve_snapshot(token).shards[shard_index]
+    return getattr(kernel, method)(*args, counters), counters
+
+
+def scatter(index, calls: Sequence[tuple[int, str, tuple]], processes: int) -> list:
+    """Run one ``(shard index, kernel method, args)`` call each, charging
+    ``index.counters``; returns ``(the shard's global ids, result)`` pairs
+    in ``calls`` order.
+
+    In process the kernels charge the index's counters directly.  With
+    ``processes > 1`` and more than one call, the calls run on the shared
+    pool against the published index and each call's fresh counters are
+    merged back.
+    """
+    if processes <= 1 or len(calls) <= 1 or in_worker_process():
+        counters = index.counters
+        results = [
+            getattr(index.shards[shard_index], method)(*args, counters)
+            for shard_index, method, args in calls
+        ]
+    else:
+        token = index.ensure_published()
+        outcomes = resilient_pool_map(
+            _shard_call,
+            [(token, *call) for call in calls],
+            min(processes, len(calls)),
+            label="shard scatter",
+        )
+        for _, counters in outcomes:
+            _merge(index.counters, counters)
+        results = [result for result, _ in outcomes]
+    return [
+        (index._shard_ids[shard_index], result)
+        for (shard_index, _, _), result in zip(calls, results)
+    ]

@@ -1,8 +1,11 @@
-"""Sharded serving: partition, route, scatter-gather, persist.
+"""Sharded serving: placement and the durable store.
 
-* :class:`ShardedIndex` -- N-shard scatter-gather serving with the
-  single-index surface and oracle-equal results/counters
-  (:mod:`repro.shard.index`);
+* :class:`ShardedIndex` -- the same class object as
+  :class:`repro.service.SimilarityIndex`, the one serving index for any
+  shard count N >= 1 (``ShardedIndex(names, n_shards=4)``): it places
+  records on N private shard kernels and routes each probe to the
+  kernels that can answer it, with results and counters equal for every
+  N;
 * placements -- ``length`` (Lemma 6 shard pruning) and ``hash``
   (uniform baseline) (:mod:`repro.shard.placement`);
 * :class:`ShardedSnapshotStore` -- the durable store: per-shard
@@ -10,7 +13,7 @@
   (:mod:`repro.shard.store`).
 """
 
-from repro.shard.index import ShardedIndex
+from repro.service import SimilarityIndex as ShardedIndex
 from repro.shard.placement import PLACEMENTS, build_placement
 from repro.shard.store import ShardedSnapshotStore
 

@@ -1,14 +1,14 @@
 """Pluggable corpus placement: which shard owns which record.
 
-The :class:`repro.shard.ShardedIndex` partitions a corpus across N
-:class:`repro.service.SimilarityIndex` shards; a *placement* decides the
-owner of every record, at build time and for every later ``append``:
+A :class:`repro.service.SimilarityIndex` places its corpus on N shard
+kernels; a *placement* decides the owner of every record, at build time
+and for every later ``append``:
 
 * :class:`LengthPlacement` (``"length"``) -- contiguous aggregate-token-
   length ranges, cut at the corpus length quantiles.  This is the
   paper's Lemma 6 partition lifted one level: a probe's length window
   ``[lo, hi]`` overlaps only the shards whose length range intersects
-  it, so the router can prune whole shards before any postings probe
+  it, so the index can prune whole shards before any postings probe
   runs -- the same reason the per-index length partition exists, at
   machine granularity (the partition-based MapReduce joins the paper
   compares against play the same card).
@@ -19,7 +19,7 @@ owner of every record, at build time and for every later ``append``:
 Placements are value objects: they serialize into the sharded store's
 manifest (:meth:`to_manifest` / :func:`placement_from_manifest`) so a
 warm restart routes appends exactly as the original build did.
-Correctness never depends on the placement -- the router prunes against
+Correctness never depends on the placement -- the index prunes against
 each shard's *actual* length range, not the placement's boundaries --
 so a skewed placement only costs balance, never results.
 """

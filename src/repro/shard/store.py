@@ -2,13 +2,14 @@
 shard snapshots, one WAL.
 
 Every store directory the serving stack opens goes through this class,
-for any shard count N >= 1; it holds a :class:`repro.shard.ShardedIndex`
-durable under one recovery contract::
+for any shard count N >= 1; it holds a
+:class:`repro.service.SimilarityIndex` (``repro.ShardedIndex`` is the
+same class) durable under one recovery contract::
 
     store/
         shards.manifest       layout: placement, shard -> global ids,
                               generation, snapshot record count
-        shard-00-g3.snap      one atomic per-shard snapshot each
+        shard-00-g3.snap      one atomic snapshot per shard kernel
         shard-01-g3.snap      (the ordinary section codec, reused)
         index.wal             appends acknowledged since the manifest
 
@@ -16,7 +17,7 @@ Two deliberate choices keep the flat layout's guarantees intact:
 
 * **One global WAL, global ``base`` offsets.**  Appends log exactly the
   bytes the flat :class:`repro.store.SnapshotStore` would log (the
-  router owns global record ids), so the WAL is byte-identical for the
+  index owns global record ids), so the WAL is byte-identical for the
   same append history, replay reuses the same skip/gap rules -- and
   migrating a flat directory never reinterprets the log.
 * **Generation-suffixed shard snapshots, manifest-flip publication.**
@@ -48,12 +49,17 @@ import json
 import os
 
 from repro.api.errors import CorruptSnapshotError, WalReplayError
-from repro.shard.index import ShardedIndex
+from repro.service import SimilarityIndex
 from repro.shard.placement import placement_from_manifest
 from repro.store.format import read_snapshot_file, write_snapshot_file
-from repro.store.snapshot import index_from_sections, index_to_sections
+from repro.store.snapshot import (
+    index_from_sections,
+    shard_from_sections,
+    shard_to_sections,
+)
 from repro.store.store import SNAPSHOT_NAME, WAL_NAME, SnapshotStore
 from repro.store.wal import WriteAheadLog
+from repro.tokenize import Tokenizer
 
 __all__ = ["ShardedSnapshotStore"]
 
@@ -65,10 +71,10 @@ MANIFEST_VERSION = 1
 
 
 class ShardedSnapshotStore:
-    """Durable snapshot + WAL lifecycle for one :class:`ShardedIndex`
-    (the session's ``store_dir``): ``open`` / ``load`` to read,
-    ``log_append`` / ``maybe_compact`` / ``save`` to write, ``status``
-    for the health block."""
+    """Durable snapshot + WAL lifecycle for one :class:`SimilarityIndex`
+    of any shard count (the session's ``store_dir``): ``open`` /
+    ``load`` to read, ``log_append`` / ``maybe_compact`` / ``save`` to
+    write, ``status`` for the health block."""
 
     def __init__(
         self,
@@ -100,10 +106,11 @@ class ShardedSnapshotStore:
 
     # -- the write path ---------------------------------------------------------
 
-    def save(self, index: ShardedIndex) -> int:
+    def save(self, index: SimilarityIndex) -> int:
         """Atomically publish a full sharded snapshot; returns bytes written.
 
-        Per-shard snapshots land under the next generation's filenames
+        Per-shard snapshots (each recording ``cache_size`` 0: the index
+        owns the one cache) land under the next generation's filenames
         first; the manifest flip is the publication point; the WAL
         empties and the previous generation is swept only after it.
         """
@@ -112,7 +119,7 @@ class ShardedSnapshotStore:
         for shard_index, shard in enumerate(index.shards):
             written += write_snapshot_file(
                 self._shard_path(shard_index, generation),
-                index_to_sections(shard),
+                shard_to_sections(shard, index.tokenizer, index.backend, 0),
             )
         manifest = {
             "version": MANIFEST_VERSION,
@@ -154,7 +161,7 @@ class ShardedSnapshotStore:
 
     # -- the read path ----------------------------------------------------------
 
-    def load(self, cache_size: int | None = None) -> ShardedIndex:
+    def load(self, cache_size: int | None = None) -> SimilarityIndex:
         """The strict load: manifest + shard snapshots + WAL replay.
 
         Raises :class:`FileNotFoundError` when no manifest exists and
@@ -174,14 +181,16 @@ class ShardedSnapshotStore:
                     f"manifest generation {manifest['generation']} names "
                     f"missing shard snapshot {path!r}"
                 ) from None
-            shards.append(index_from_sections(sections))
+            shard, meta = shard_from_sections(sections)
+            shards.append(shard)
         self._check_layout(manifest, shards, shard_ids)
-        index = ShardedIndex.from_shards(
+        # Every shard's meta records the index's tokenizer and backend.
+        index = SimilarityIndex.from_shards(
             shards,
             placement,
             shard_ids,
-            tokenizer=shards[0].tokenizer,
-            backend=shards[0].backend,
+            tokenizer=Tokenizer(**meta["tokenizer"]),
+            backend=meta["backend"],
             cache_size=(
                 manifest["cache_size"] if cache_size is None else cache_size
             ),
@@ -258,7 +267,7 @@ class ShardedSnapshotStore:
         tokenizer=None,
         backend: str = "auto",
         cache_size: int = 256,
-    ) -> ShardedIndex:
+    ) -> SimilarityIndex:
         """The serving load: use the store, migrate/reshard, or degrade.
 
         In order of preference: load the sharded layout; migrate a
@@ -272,8 +281,8 @@ class ShardedSnapshotStore:
         retires a flat ``index.snap``.
         """
 
-        def build(corpus, tokenizer=tokenizer) -> ShardedIndex:
-            index = ShardedIndex(
+        def build(corpus, tokenizer=tokenizer) -> SimilarityIndex:
+            index = SimilarityIndex(
                 corpus,
                 n_shards=n_shards,
                 placement=placement,
@@ -290,7 +299,7 @@ class ShardedSnapshotStore:
 
         self.resharded = False
         try:
-            loaded = self._load_any(cache_size)
+            loaded, flat = self._load_any(cache_size)
         except (CorruptSnapshotError, WalReplayError):
             if names is None:
                 raise
@@ -304,7 +313,7 @@ class ShardedSnapshotStore:
             return build(names or ())  # first boot: nothing on disk yet
         self.loaded_from_snapshot = True
         if (
-            isinstance(loaded, ShardedIndex)
+            not flat
             and len(loaded.shards) == n_shards
             and loaded.placement.kind == placement
         ):
@@ -313,11 +322,12 @@ class ShardedSnapshotStore:
         return build(loaded.names, tokenizer or loaded.tokenizer)
 
     def _load_any(self, cache_size: int):
-        """The stored index: the sharded layout, else a flat ``index.snap``
-        (a :class:`SimilarityIndex` with the WAL replayed, to migrate),
-        else ``None`` on a first boot.  Damage raises the typed errors."""
+        """``(stored index, whether it came from a flat index.snap)``: the
+        sharded layout, else a flat snapshot with the WAL replayed (to
+        migrate), else ``(None, False)`` on a first boot.  Damage raises
+        the typed errors."""
         try:
-            return self.load(cache_size=cache_size)
+            return self.load(cache_size=cache_size), False
         except FileNotFoundError:
             pass
         try:
@@ -330,8 +340,8 @@ class ShardedSnapshotStore:
                     f"shard manifest {self.manifest_path!r} is missing "
                     "but its append log is not"
                 ) from None
-            return None
-        return self._replay_into(flat, len(flat))
+            return None, False
+        return self._replay_into(flat, len(flat)), True
 
     # -- observability -----------------------------------------------------------
 

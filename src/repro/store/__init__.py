@@ -6,7 +6,8 @@ The persistence layer under ``Session(store_dir=...)``, ``Session.save``
 
 * :mod:`repro.store.format` -- the versioned, checksummed, atomically
   published container file;
-* :mod:`repro.store.snapshot` -- ``SimilarityIndex`` <-> sections;
+* :mod:`repro.store.snapshot` -- one-shard ``SimilarityIndex`` (or one
+  shard kernel) <-> sections;
 * :mod:`repro.store.wal` -- the fsync-before-mutate append log with
   torn-tail tolerance;
 * :mod:`repro.store.store` -- :class:`SnapshotStore`, composing them

@@ -1,11 +1,15 @@
 """``SimilarityIndex`` <-> snapshot sections: what durability preserves.
 
 A :class:`repro.service.SimilarityIndex` is rebuilt state over one input:
-the raw names.  The snapshot persists the *expensive* derived state --
-the tokenized records as interned token-id rows, the vocab's token
-table, the token postings and the Lemma 6 length partition -- as flat
-``int64`` columns plus string tables, so a cold load is array
-reconstruction instead of re-tokenizing and re-interning the corpus.
+the raw names.  A snapshot persists one shard kernel's *expensive*
+derived state -- the tokenized records as interned token-id rows, the
+vocab's token table, the token postings and the Lemma 6 length
+partition -- as flat ``int64`` columns plus string tables, so a cold
+load is array reconstruction instead of re-tokenizing and re-interning
+the corpus.  :func:`index_to_sections` / :func:`index_from_sections` are
+the flat single-file codec of a one-shard index; the sharded store
+writes one such section set per kernel (:func:`shard_to_sections` /
+:func:`shard_from_sections`, ``cache_size`` 0) under its manifest.
 
 Deliberately *not* persisted, because it is cheap, lazily built, or
 process-local: the Myers ``Peq`` masks (lazy per token on first use;
@@ -66,18 +70,32 @@ _REQUIRED_SECTIONS = (
 
 
 def index_to_sections(index) -> dict[str, bytes]:
-    """Serialise a ``SimilarityIndex`` into named snapshot sections."""
-    vocab = index.vocab
+    """Serialise a one-shard ``SimilarityIndex`` into named snapshot
+    sections (its result-cache capacity goes into the meta)."""
+    if len(index.shards) != 1:
+        raise ValueError(
+            f"the flat snapshot holds one shard; this index has "
+            f"{len(index.shards)} (save it with ShardedSnapshotStore)"
+        )
+    return shard_to_sections(
+        index.shards[0], index.tokenizer, index.backend, index.result_cache.capacity
+    )
+
+
+def shard_to_sections(shard, tokenizer, backend: str, cache_size: int):
+    """Serialise one shard kernel, with the owning index's tokenizer,
+    backend and the ``cache_size`` to record, into snapshot sections."""
+    vocab = shard._vocab
     tokens = [vocab.token(token_id) for token_id in range(len(vocab))]
     token_id_of = {token: token_id for token_id, token in enumerate(tokens)}
 
     record_tokens: list[int] = []
     record_offsets: list[int] = []
-    for record in index.records:
+    for record in shard.records:
         record_tokens.extend(token_id_of[token] for token in record.tokens)
         record_offsets.append(len(record_tokens))
 
-    token_postings = index.token_postings
+    token_postings = shard._token_postings
     keys = list(token_postings.interner.signatures())
     postings_flat: list[int] = []
     postings_offsets: list[int] = []
@@ -86,18 +104,18 @@ def index_to_sections(index) -> dict[str, bytes]:
         postings_offsets.append(len(postings_flat))
 
     meta = {
-        "records": len(index.records),
-        "backend": index.backend,
-        "cache_size": index.result_cache.capacity,
+        "records": len(shard.records),
+        "backend": backend,
+        "cache_size": cache_size,
         "tokenizer": {
-            "lowercase": index.tokenizer.lowercase,
-            "min_token_length": index.tokenizer.min_token_length,
-            "extra_separators": index.tokenizer.extra_separators,
+            "lowercase": tokenizer.lowercase,
+            "min_token_length": tokenizer.min_token_length,
+            "extra_separators": tokenizer.extra_separators,
         },
     }
     return {
         "meta": json.dumps(meta, ensure_ascii=False).encode("utf-8"),
-        "names": pack_strings(index.names),
+        "names": pack_strings(shard.names),
         "tokens": pack_strings(tokens),
         "record_offsets": pack_int_array(record_offsets),
         "record_tokens": pack_int_array(record_tokens),
@@ -105,23 +123,41 @@ def index_to_sections(index) -> dict[str, bytes]:
         "postings_offsets": pack_int_array(postings_offsets),
         "postings": pack_int_array(postings_flat),
         "length_values": pack_int_array(
-            length for length, _ in index._lengths
+            length for length, _ in shard._lengths
         ),
         "length_ids": pack_int_array(
-            record_id for _, record_id in index._lengths
+            record_id for _, record_id in shard._lengths
         ),
     }
 
 
 def index_from_sections(sections: dict[str, bytes]):
-    """Reconstruct a ``SimilarityIndex`` from validated snapshot sections.
+    """Reconstruct a one-shard ``SimilarityIndex`` from validated
+    snapshot sections.
 
     Raises :class:`~repro.api.errors.CorruptSnapshotError` when the
     sections are missing or mutually inconsistent.
     """
+    from repro.service import SimilarityIndex
+    from repro.shard.placement import LengthPlacement
+
+    shard, meta = shard_from_sections(sections)
+    return SimilarityIndex.from_shards(
+        [shard],
+        LengthPlacement(1, ()),
+        [range(len(shard))],
+        tokenizer=Tokenizer(**meta["tokenizer"]),
+        backend=meta["backend"],
+        cache_size=meta["cache_size"],
+    )
+
+
+def shard_from_sections(sections: dict[str, bytes]):
+    """Reconstruct one shard kernel from validated snapshot sections;
+    returns ``(kernel, meta)`` (typed errors as :func:`index_from_sections`)."""
     from repro.accel import Vocab
     from repro.candidates import PostingsIndex
-    from repro.service import SimilarityIndex
+    from repro.service.index import _ShardKernel
 
     def fail(reason: str) -> CorruptSnapshotError:
         return CorruptSnapshotError(f"corrupt snapshot: {reason}")
@@ -173,17 +209,13 @@ def index_from_sections(sections: dict[str, bytes]):
         previous = entry
         lengths.append(entry)
 
-    index = SimilarityIndex(
-        tokenizer=Tokenizer(**meta["tokenizer"]),
-        backend=meta["backend"],
-        cache_size=meta["cache_size"],
-    )
-    index._names = names
-    index._records = records
-    index._vocab = Vocab(tokens)
-    index._token_postings = postings
-    index._lengths = lengths
-    index._histogram_ids = [index._histogram_slot(h) for h in histograms]
+    shard = _ShardKernel(meta["backend"])
+    shard.names = names
+    shard.records = records
+    shard._vocab = Vocab(tokens)
+    shard._token_postings = postings
+    shard._lengths = lengths
+    shard._histogram_ids = [shard._histogram_slot(h) for h in histograms]
 
     expected = sorted(
         (record.aggregate_length, record_id)
@@ -191,7 +223,7 @@ def index_from_sections(sections: dict[str, bytes]):
     )
     if expected != lengths:
         raise fail("length partition disagrees with the restored records")
-    return index
+    return shard, meta
 
 
 def _decode_meta(payload: bytes) -> dict:

@@ -2,7 +2,8 @@
 
 The store composes the container (:mod:`repro.store.format`), the
 section codec (:mod:`repro.store.snapshot`) and the append log
-(:mod:`repro.store.wal`) for one :class:`~repro.service.SimilarityIndex`::
+(:mod:`repro.store.wal`) for one one-shard
+:class:`~repro.service.SimilarityIndex`::
 
     store/
         index.snap   the latest atomic snapshot (previous one until the
@@ -25,7 +26,8 @@ through :class:`repro.shard.ShardedSnapshotStore`, which borrows the
 write path and the replay rule above, migrates a flat ``index.snap`` on
 first open, and owns the degrade-to-rebuild path and the health block.
 This class stays the flat file codec that migration, the one-shot
-``Session.save`` export and the benchmarks use.
+``Session.save`` export and the benchmarks use; it saves and loads a
+one-shard index (saving a multi-shard one raises).
 
 Chaos hooks: the container's writer passes ``store.write`` /
 ``store.fsync`` fault points (shared with :meth:`WriteAheadLog.append`),
@@ -51,7 +53,7 @@ WAL_NAME = "index.wal"
 
 
 class SnapshotStore:
-    """Flat snapshot + WAL files for one ``SimilarityIndex``.
+    """Flat snapshot + WAL files for one one-shard ``SimilarityIndex``.
 
     Parameters
     ----------

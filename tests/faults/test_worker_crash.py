@@ -138,3 +138,51 @@ class TestTSJRecovery:
         assert survived.pairs == serial.pairs
         assert survived.distances == serial.distances
         assert runtime_counters()["pool_rebuilds"] >= 1
+
+
+class TestServingRecovery:
+    """Pooled serving under worker kills: both pooled modes -- the
+    one-shard batch fan-out and the multi-shard per-query scatter -- pass
+    the ``serve.chunk`` site, and recover to the in-process answers and
+    counters of a one-shard index."""
+
+    def corpus(self):
+        from repro.data import evaluation_corpus
+
+        names, _ = evaluation_corpus(60, seed=7)
+        queries = [names[3], names[20][:-1] + "x", "maria gonzales", names[41]]
+        return names, queries
+
+    def test_kill_mid_shard_scatter_matches_one_shard(self):
+        from repro.service import SimilarityIndex
+
+        names, queries = self.corpus()
+        oracle = SimilarityIndex(names)
+        expected = oracle.topk(queries, k=3)
+        faults.inject("serve.chunk", "kill")
+        index = SimilarityIndex(names, n_shards=4)
+        try:
+            assert index.topk(queries, k=3, processes=2) == expected
+        finally:
+            index.unpublish()
+        assert index.counters == oracle.counters
+        assert runtime_counters()["pool_rebuilds"] >= 1
+
+    def test_degraded_batch_fan_out_counts_once(self):
+        from repro.service import SimilarityIndex
+
+        names, queries = self.corpus()
+        oracle = SimilarityIndex(names)
+        expected = oracle.topk(queries, k=3)
+        # Every pooled attempt is killed, so the batch runs in process on
+        # the parent's own index: its counters and routing tallies must
+        # be charged once, not once more as a merged worker delta.
+        faults.inject("serve.chunk", "kill", times=None)
+        index = SimilarityIndex(names)
+        try:
+            assert index.topk(queries, k=3, processes=2) == expected
+        finally:
+            index.unpublish()
+        assert runtime_counters()["pool_degraded"] == 1
+        assert index.counters == oracle.counters
+        assert index.routing == oracle.routing

@@ -94,6 +94,25 @@ class TestPooledServing:
         after = index.counters
         assert after["pairs_verified"] > before["pairs_verified"]
 
+    def test_counters_do_not_depend_on_worker_history(self):
+        """A worker's copy outlives its chunks, yet each chunk serves from
+        an empty result cache: a repeated pooled batch charges exactly
+        what the first one did, whichever worker runs which chunk."""
+        names, _ = evaluation_corpus(30, seed=47)
+        index = SimilarityIndex(names)
+        charged = []
+        try:
+            for _ in range(3):
+                before = dict(index.counters)
+                index.topk(names[:6], k=2, processes=2)
+                charged.append(
+                    {name: index.counters[name] - before[name] for name in before}
+                )
+        finally:
+            index.unpublish()
+        assert charged[0] == charged[1] == charged[2]
+        assert charged[0]["result_cache_hits"] == 0
+
     def test_pickled_clone_does_not_evict_original(self):
         """Clones get fresh publish identities: serving a pickled copy
         must not withdraw the original's publication."""

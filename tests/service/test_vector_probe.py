@@ -1,8 +1,8 @@
 """The serving probe is backend-invariant: identical results and counters.
 
-:meth:`SimilarityIndex._within_ids` decides the Lemma 6 length filter
-and the histogram bound once per distinct token-length histogram and
-only hands survivors to the verification kernel, so every backend
+Each shard kernel's ``within`` decides the Lemma 6 length filter and
+the histogram bound once per distinct token-length histogram and only
+hands survivors to the verification kernel, so every backend
 usable in this process (``available_backends()`` minus ``auto``; with
 or without numpy) must serve the same results *and* the same cumulative
 cascade / verification / cache counters -- through ``topk``, ``within``,
@@ -178,18 +178,18 @@ def test_append_then_query_matches_across_backends(names, queries):
 
 def _histogram_ids_match_rebuild(index):
     rebuilt = SimilarityIndex(index.names)
-    assert index._histogram_ids == rebuilt._histogram_ids
-    assert index._histograms == rebuilt._histograms
+    assert index.shards[0]._histogram_ids == rebuilt.shards[0]._histogram_ids
+    assert index.shards[0]._histograms == rebuilt.shards[0]._histograms
 
 
 def test_append_introducing_a_new_histogram(names, queries):
     novel = "abcdefghijklmnopqrstuvwxyzabcd q"  # token lengths 30 and 1
     indexes = [SimilarityIndex(names[:80], backend=backend) for backend in BACKENDS]
-    distinct = len(indexes[0]._histograms)
+    distinct = len(indexes[0].shards[0]._histograms)
     for index in indexes:
         index.append([novel])
-        assert len(index._histograms) == distinct + 1
-        assert index._histogram_ids[-1] == distinct
+        assert len(index.shards[0]._histograms) == distinct + 1
+        assert index.shards[0]._histogram_ids[-1] == distinct
         _histogram_ids_match_rebuild(index)
     serve_all(indexes, queries[:6] + [novel, "abcdefghijklmnopqrstuvwxyzabce q"])
     assert_same_counters(indexes)
@@ -203,11 +203,12 @@ def test_append_reusing_an_existing_histogram(names, queries):
     # Same token lengths, different letters: the same encoded histogram.
     twin = " ".join("y" * len(token) for token in tokenize(existing).tokens)
     indexes = [SimilarityIndex(names[:80], backend=backend) for backend in BACKENDS]
-    distinct = len(indexes[0]._histograms)
+    distinct = len(indexes[0].shards[0]._histograms)
     for index in indexes:
         index.append([twin])
-        assert len(index._histograms) == distinct
-        assert index._histogram_ids[-1] == index._histogram_ids[7]
+        assert len(index.shards[0]._histograms) == distinct
+        histogram_ids = index.shards[0]._histogram_ids
+        assert histogram_ids[-1] == histogram_ids[7]
         _histogram_ids_match_rebuild(index)
     serve_all(indexes, queries[:6] + [twin, existing])
     assert_same_counters(indexes)
@@ -230,8 +231,8 @@ def test_snapshot_roundtrip_serves_identically(names, queries, tmp_path):
         store.save(index)
         loaded = SnapshotStore(str(tmp_path / backend)).load()
         assert loaded.backend == backend
-        assert loaded._histogram_ids == index._histogram_ids
-        assert loaded._histograms == index._histograms
+        assert loaded.shards[0]._histogram_ids == index.shards[0]._histogram_ids
+        assert loaded.shards[0]._histograms == index.shards[0]._histograms
         serve_all([index, loaded], queries[:8], radii=(0.1, 0.3), ks=(1, 5))
         assert_same_counters([index, loaded])
 

@@ -152,6 +152,88 @@ def test_one_shard_fans_the_batch_out_over_the_pool():
         sharded.unpublish()
 
 
+@pytest.mark.parametrize("n_shards", (1, 3))
+def test_pooled_serving_keeps_the_routing_tallies(n_shards):
+    # One shard fans the batch out to workers, three scatter each query's
+    # kernel calls: either way the routing tallies the work charged come
+    # back with the counters.
+    serial = ShardedIndex(CORPUS, n_shards=n_shards)
+    pooled = ShardedIndex(CORPUS, n_shards=n_shards)
+    try:
+        assert pooled.topk(CORPUS[:6], k=3, processes=2) == serial.topk(
+            CORPUS[:6], k=3
+        )
+    finally:
+        pooled.unpublish()
+    assert pooled.counters == serial.counters
+    assert pooled.routing == serial.routing
+    assert pooled.routing["shards_probed"] > 0
+
+
+@pytest.mark.parametrize("n_shards", (1, 3))
+def test_pooled_serving_survives_parent_vocab_growth(n_shards):
+    # Token ids are minted per kernel and per process.  After a pooled
+    # serve publishes the index, in-process queries intern novel tokens
+    # into the parent's kernels only (no republish); a later pooled serve
+    # of queries holding those tokens must still match the oracle, which
+    # it cannot if ids interned in the parent ever reach a worker.
+    index = ShardedIndex(CORPUS, n_shards=n_shards)
+    novel = ["zzqx novel tokenz", "qwv xkcdj smith"]
+    # A fresh token first, then the novel ones out of their interning
+    # order, so ids a worker mints cannot line up with the parent's.
+    later = [
+        CORPUS[5][:-1] + "q",
+        "xkcdj novel " + CORPUS[12],
+        "tokenz qwv zzqx",
+        CORPUS[30],
+    ]
+    try:
+        assert index.topk(QUERIES, k=3, processes=2) == oracle().topk(QUERIES, k=3)
+        published = index._published
+        tokens = index.stats()["distinct_tokens"]
+        index.within(novel, 0.3)
+        assert index.stats()["distinct_tokens"] > tokens
+        assert index._published == published
+        assert index.topk(later, k=3, processes=2) == oracle().topk(later, k=3)
+    finally:
+        index.unpublish()
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_each_query_is_tokenized_once(n_shards, monkeypatch):
+    from repro.tokenize import Tokenizer
+
+    index = ShardedIndex(CORPUS, n_shards=n_shards)
+    calls = []
+    tokenize = Tokenizer.tokenize
+
+    def counted(self, text):
+        calls.append(text)
+        return tokenize(self, text)
+
+    monkeypatch.setattr(Tokenizer, "tokenize", counted)
+    queries = [name[:-1] + "z" for name in CORPUS[:5]]
+    index.topk(queries, k=3)
+    index.within([query + " q" for query in queries], 0.2)
+    assert len(calls) == 2 * len(queries)
+
+
+def test_one_class_serves_every_shard_count():
+    import repro
+    from repro.store import index_to_sections
+
+    assert repro.ShardedIndex is ShardedIndex is SimilarityIndex
+    single, sharded = ShardedIndex(CORPUS), ShardedIndex(CORPUS, n_shards=3)
+    assert len(single.shards) == 1
+    assert single.vocab is single.shards[0]._vocab
+    assert single.token_postings is single.shards[0]._token_postings
+    for accessor in ("vocab", "token_postings"):
+        with pytest.raises(ValueError, match="3 shards"):
+            getattr(sharded, accessor)
+    with pytest.raises(ValueError, match="has 3"):
+        index_to_sections(sharded)
+
+
 def test_router_pickles_as_a_distinct_publication():
     import pickle
 
