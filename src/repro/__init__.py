@@ -10,8 +10,8 @@ The front door (see README.md "Public API"):
   JSON-serializable request specs (:class:`repro.JoinSpec`,
   :class:`repro.TopKSpec`, :class:`repro.WithinSpec`,
   :class:`repro.CompareSpec`) against resident corpora; every join
-  algorithm and search backend in the repository is one
-  ``algorithm=``/``method=`` choice (:mod:`repro.api.registry`).
+  algorithm in the repository is one ``algorithm=`` choice
+  (:mod:`repro.api.registry`), and top-k/range search has one method.
 * :class:`repro.ResultSet` -- the uniform result envelope (pairs or
   matches, clusters, cascade + cache counters, simulated seconds,
   build/query wall-clock split) with a lossless JSON wire form.

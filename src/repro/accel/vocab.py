@@ -24,9 +24,8 @@ layer:
 dict, evict-oldest) -- enough to bound memory on adversarial streams
 without the bookkeeping cost of a true LRU.  :class:`LRUCache` is its
 true-LRU sibling for *result* caches (the serving layer's query/join
-results, :class:`repro.knn.FuzzyMatchIndex`'s query cache), where a
-``move_to_end`` per hit is noise next to the work a miss would redo and
-recency actually tracks the skewed query stream.
+results), where a ``move_to_end`` per hit is noise next to the work a
+miss would redo and recency actually tracks the skewed query stream.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ serving layer (see README.md "Public API"):
 * **Specs** (:mod:`repro.api.specs`) -- :class:`JoinSpec`,
   :class:`TopKSpec`, :class:`WithinSpec`, :class:`CompareSpec`:
   frozen, JSON-round-tripping request objects;
-* **Registry** (:mod:`repro.api.registry`) -- every join algorithm and
-  search backend registered behind one selector namespace, plus the
-  shared :func:`~repro.api.registry.validate_choice` selector validator
-  used repository-wide;
+* **Registry** (:mod:`repro.api.registry`) -- every join algorithm
+  registered behind one selector namespace, the one search method and
+  its aliases, plus the shared
+  :func:`~repro.api.registry.validate_choice` selector validator used
+  repository-wide;
 * **Session** (:mod:`repro.api.session`) -- the facade owning tokenizer,
   engine/backend defaults and resident-index lifecycle;
   ``Session.run(spec)`` (or the module-level :func:`run`) executes any

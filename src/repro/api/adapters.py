@@ -1,10 +1,9 @@
-"""Built-in adapters: every join layer and search backend, registered.
+"""Built-in adapters: every join layer, registered.
 
 Importing this module populates :mod:`repro.api.registry` with one
 :class:`~repro.api.registry.JoinAlgorithm` per join layer in the
-repository and one :class:`~repro.api.registry.SearchBackend` per
-serving method, normalising their native signatures behind the
-declarative specs.  The paper's TSJ pipeline is *one algorithm choice*
+repository, normalising their native signatures behind the declarative
+``JoinSpec``.  The paper's TSJ pipeline is *one algorithm choice*
 here, not a hard-coded default path.
 
 Adapter contract: ``runner(corpus, spec, session) -> JoinOutcome``.
@@ -17,13 +16,7 @@ forwards ``spec.params`` to the layer's own keywords.
 
 from __future__ import annotations
 
-from repro.api.registry import (
-    JoinAlgorithm,
-    JoinOutcome,
-    SearchBackend,
-    register_join,
-    register_search,
-)
+from repro.api.registry import JoinAlgorithm, JoinOutcome, register_join
 from repro.mapreduce import ClusterConfig
 from repro.runtime import create_engine
 
@@ -397,15 +390,5 @@ register_join(
         threshold_kind="nsld",
         scorer=_nsld_scorer,
         description="serial recursive ball-partitioning metric join",
-    )
-)
-
-register_search(
-    SearchBackend(
-        "similarity_index",
-        # ``vptree`` was a metric-tree backend whose answers were
-        # identical to this one; older clients still send the name.
-        aliases=("cascade", "vptree"),
-        description="exact NSLD through the resident candidate pipeline",
     )
 )

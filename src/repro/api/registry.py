@@ -6,8 +6,8 @@ search ``method`` names, verification ``backend`` kernels, execution
 :func:`validate_choice`, so an unknown name fails the same way
 everywhere: ``unknown <kind> '<value>'; choose from [...]``.
 
-On top of that sit the two registries behind the declarative front door
-(:mod:`repro.api`):
+On top of that sit the join registry and the search method behind the
+declarative front door (:mod:`repro.api`):
 
 * **join algorithms** (:func:`register_join` / :func:`resolve_join`) --
   every join layer in the repository (the TSJ pipeline, the serial and
@@ -15,10 +15,11 @@ On top of that sit the two registries behind the declarative front door
   registers a :class:`JoinAlgorithm` adapter normalising its native
   signature, so ``JoinSpec(algorithm="passjoin_k", ...)`` is a uniform
   call;
-* **search backends** (:func:`register_search` / :func:`resolve_search`)
+* **the search method** (:data:`SEARCH_METHOD` / :data:`SEARCH_ALIASES`)
   -- the one serving method behind ``TopKSpec``/``WithinSpec``:
   ``similarity_index`` (aliases ``cascade`` and ``vptree``), exact NSLD
-  through the resident :class:`repro.service.SimilarityIndex`.
+  through the resident :class:`repro.service.SimilarityIndex`.  It is a
+  constant, not a registry: nothing else serves ``topk``/``within``.
 
 This module imports nothing from the rest of the package at module
 scope except the leaf :mod:`repro.api.errors` (the typed error
@@ -29,23 +30,30 @@ low-level packages (``repro.accel``, ``repro.runtime``) without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.api.errors import ValidationError
 
 __all__ = [
+    "SEARCH_ALIASES",
+    "SEARCH_METHOD",
     "JoinAlgorithm",
     "JoinOutcome",
-    "SearchBackend",
     "join_algorithms",
     "register_join",
-    "register_search",
     "resolve_join",
-    "resolve_search",
     "search_methods",
     "validate_choice",
 ]
+
+#: The one ``TopKSpec`` / ``WithinSpec`` method: exact NSLD through the
+#: resident :class:`repro.service.SimilarityIndex`.
+SEARCH_METHOD = "similarity_index"
+#: Other accepted spellings of :data:`SEARCH_METHOD`.  ``vptree`` was a
+#: metric-tree method whose answers were identical; older clients still
+#: send the name.
+SEARCH_ALIASES = ("cascade", "vptree")
 
 
 def validate_choice(kind: str, value, choices: Sequence[str]) -> str:
@@ -122,34 +130,13 @@ class JoinAlgorithm:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class SearchBackend:
-    """A registered ``TopKSpec`` / ``WithinSpec`` method name, answered by
-    the resident :class:`repro.service.SimilarityIndex`."""
-
-    name: str
-    description: str = ""
-    #: Extra ``method`` spellings accepted for this backend.
-    aliases: tuple = field(default=())
-
-
 _JOINS: dict[str, JoinAlgorithm] = {}
-_SEARCH: dict[str, SearchBackend] = {}
-_SEARCH_ALIASES: dict[str, str] = {}
 _BUILTINS_LOADED = False
 
 
 def register_join(adapter: JoinAlgorithm) -> JoinAlgorithm:
     """Register (or replace) a join algorithm adapter."""
     _JOINS[adapter.name] = adapter
-    return adapter
-
-
-def register_search(adapter: SearchBackend) -> SearchBackend:
-    """Register (or replace) a search backend adapter."""
-    _SEARCH[adapter.name] = adapter
-    for alias in adapter.aliases:
-        _SEARCH_ALIASES[alias] = adapter.name
     return adapter
 
 
@@ -172,12 +159,10 @@ def join_algorithms() -> tuple[str, ...]:
 
 
 def search_methods(include_aliases: bool = False) -> tuple[str, ...]:
-    """Registered search backend names, sorted."""
-    _ensure_builtins()
-    names = set(_SEARCH)
+    """The search method name (with its aliases, if asked), sorted."""
     if include_aliases:
-        names |= set(_SEARCH_ALIASES)
-    return tuple(sorted(names))
+        return tuple(sorted((SEARCH_METHOD, *SEARCH_ALIASES)))
+    return (SEARCH_METHOD,)
 
 
 def resolve_join(name: str) -> JoinAlgorithm:
@@ -185,10 +170,3 @@ def resolve_join(name: str) -> JoinAlgorithm:
     _ensure_builtins()
     validate_choice("join algorithm", name, join_algorithms())
     return _JOINS[name]
-
-
-def resolve_search(name: str) -> SearchBackend:
-    """Look up a search backend (aliases accepted); unknown names raise."""
-    _ensure_builtins()
-    validate_choice("search method", name, search_methods(include_aliases=True))
-    return _SEARCH[_SEARCH_ALIASES.get(name, name)]

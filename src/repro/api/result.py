@@ -1,7 +1,7 @@
 """The uniform result envelope: one shape for every request.
 
-Every :class:`repro.api.Session` run -- any join algorithm, any search
-backend, a bare comparison -- lands in one :class:`ResultSet`: the
+Every :class:`repro.api.Session` run -- any join algorithm, a top-k or
+range search, a bare comparison -- lands in one :class:`ResultSet`: the
 pairs/matches, the similarity clusters, the canonical candidate-pipeline
 counters next to the result-cache counters, the simulated cluster
 seconds (for the MapReduce layers) and the wall-clock build/query split

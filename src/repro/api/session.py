@@ -33,7 +33,7 @@ from typing import Sequence
 from repro.accel import BACKENDS
 from repro.accel.vocab import LRUCache
 from repro.api.errors import ValidationError
-from repro.api.registry import resolve_join, resolve_search, validate_choice
+from repro.api.registry import SEARCH_METHOD, resolve_join, validate_choice
 from repro.api.result import COUNTER_CACHE_RESIDENT, ResultSet
 from repro.api.specs import CompareSpec, JoinSpec, TopKSpec, WithinSpec
 from repro.runtime import ENGINES
@@ -507,7 +507,6 @@ class Session:
         )
 
     def _run_search(self, spec, names, records, operation: str) -> ResultSet:
-        backend_entry = resolve_search(spec.method)
         corpus = self._corpus(spec, names, records)
         build_before = corpus.build_seconds
         index = corpus.index(
@@ -531,7 +530,7 @@ class Session:
         counters[COUNTER_CACHE_RESIDENT] = len(index.result_cache)
         return ResultSet(
             kind=operation,
-            algorithm=backend_entry.name,
+            algorithm=SEARCH_METHOD,
             collection_size=len(corpus.names),
             queries=queries,
             matches=[

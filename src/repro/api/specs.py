@@ -14,7 +14,7 @@ Four request shapes cover every entry point:
 * :class:`JoinSpec` -- a self-join under a registered algorithm
   (``repro.api.registry.join_algorithms()``);
 * :class:`TopKSpec` -- batched top-k queries against a resident index
-  (``repro.api.registry.search_methods()``);
+  (the one method, ``repro.api.registry.search_methods()``);
 * :class:`WithinSpec` -- batched range queries against a resident index;
 * :class:`CompareSpec` -- one NSLD evaluation between two raw strings.
 
@@ -39,7 +39,12 @@ from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from repro.api.errors import WIRE_VERSION, ValidationError, take_wire_version
-from repro.api.registry import resolve_join, resolve_search, validate_choice
+from repro.api.registry import (
+    SEARCH_METHOD,
+    resolve_join,
+    search_methods,
+    validate_choice,
+)
 
 __all__ = [
     "CompareSpec",
@@ -211,7 +216,7 @@ class TopKSpec(_SpecBase):
 
     queries: tuple = ()
     k: int = 5
-    method: str = "similarity_index"
+    method: str = SEARCH_METHOD
     names: tuple | None = None
     backend: str | None = None
     processes: int | None = None
@@ -219,7 +224,9 @@ class TopKSpec(_SpecBase):
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        resolve_search(self.method)
+        validate_choice(
+            "search method", self.method, search_methods(include_aliases=True)
+        )
         if self.k < 1:
             raise ValidationError("k must be positive")
         _normalise_queries(self)
@@ -234,7 +241,7 @@ class WithinSpec(_SpecBase):
 
     queries: tuple = ()
     radius: float = 0.1
-    method: str = "similarity_index"
+    method: str = SEARCH_METHOD
     names: tuple | None = None
     backend: str | None = None
     processes: int | None = None
@@ -242,7 +249,9 @@ class WithinSpec(_SpecBase):
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        resolve_search(self.method)
+        validate_choice(
+            "search method", self.method, search_methods(include_aliases=True)
+        )
         if self.radius < 0:
             raise ValidationError("radius must be non-negative")
         _normalise_queries(self)

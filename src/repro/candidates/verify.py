@@ -9,6 +9,15 @@ still a handful of batched calls instead of one kernel dispatch per pair.
 Both helpers bump the shared ``pairs_verified`` counter when handed a
 counter dict, so filter-effectiveness reporting includes the verification
 volume without every join re-implementing the bookkeeping.
+
+Examples
+--------
+>>> counters = {}
+>>> verify_ld_pairs([(0, 1), (0, 2)], ["kitten", "sitting", "dog"], 3,
+...                 counters=counters)
+[3, None]
+>>> counters
+{'pairs_verified': 2}
 """
 
 from __future__ import annotations

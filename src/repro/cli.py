@@ -18,7 +18,7 @@ Subcommands
 ``compare``   Print the NSLD between two names.
 ``roc``       Run the Fig. 6 name-change ROC comparison and print AUCs.
 ``knn``       Nearest neighbours of one or more names from a resident
-              index (VP-tree over NSLD, built once for the whole batch).
+              index (exact NSLD, built once for the whole batch).
 ``search``    Serve top-k or range queries from a resident
               :class:`repro.service.SimilarityIndex` (build once, query
               many; ``--shards N``, one by default).

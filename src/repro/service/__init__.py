@@ -11,8 +11,7 @@ build-once/query-many system (see README.md "Query serving"):
   Lemma 6 length partition of its records, serving ``join`` / ``topk``
   / ``within`` / ``append`` with one result cache and one set of
   counters;
-* :class:`LRUCache` -- the bounded result cache with hit/miss counters
-  (also backing :class:`repro.knn.FuzzyMatchIndex`'s query cache);
+* :class:`LRUCache` -- the bounded result cache with hit/miss counters;
 * :mod:`repro.service.sharing` -- index publication to the shared
   worker pool (fork copy-on-write with an explicit one-time broadcast
   on spawn platforms, so pooled serving never re-ships per-task state)

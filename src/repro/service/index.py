@@ -1,8 +1,7 @@
 """The resident :class:`SimilarityIndex`: build once, query many.
 
-Every pre-existing entry point -- :func:`repro.core.nsld_join`, the CLI
-``knn``/``join`` commands, :class:`repro.knn.FuzzyMatchIndex` -- paid
-full index construction per call: tokenize the collection, intern the
+A one-shot entry point such as :func:`repro.core.nsld_join` pays full
+index construction per call: tokenize the collection, intern the
 tokens, precompute the Myers ``Peq`` masks, build the postings, then
 answer exactly one request and throw everything away.  A serving system
 does the opposite: construction is rare, queries are endless.

@@ -140,7 +140,9 @@ def placement_from_manifest(entry: dict):
         raise ValidationError(f"malformed placement manifest entry: {entry!r}")
     if kind == "length":
         boundaries = entry.get("boundaries")
-        if not isinstance(boundaries, list):
+        if not isinstance(boundaries, list) or not all(
+            type(cut) is int for cut in boundaries
+        ):
             raise ValidationError(f"malformed placement manifest entry: {entry!r}")
         return LengthPlacement(n_shards, tuple(boundaries))
     return HashPlacement(n_shards)

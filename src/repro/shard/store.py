@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.api.errors import CorruptSnapshotError, WalReplayError
+from repro.api.errors import CorruptSnapshotError, ValidationError, WalReplayError
 from repro.service import SimilarityIndex
 from repro.shard.placement import placement_from_manifest
 from repro.store.format import read_snapshot_file, write_snapshot_file
@@ -169,7 +169,12 @@ class ShardedSnapshotStore:
         truncated and the intact prefix served, exactly as flat.
         """
         manifest = self._read_manifest()
-        placement = placement_from_manifest(manifest["placement"])
+        try:
+            placement = placement_from_manifest(manifest["placement"])
+        except ValidationError as exc:
+            raise CorruptSnapshotError(
+                f"corrupt shard manifest {self.manifest_path!r}: {exc}"
+            ) from exc
         shard_ids = manifest["shard_ids"]
         shards = []
         for shard_index in range(placement.n_shards):
@@ -250,7 +255,11 @@ class ShardedSnapshotStore:
             )
         seen: set[int] = set()
         for shard, globals_ in zip(shards, shard_ids):
-            if not isinstance(globals_, list) or len(globals_) != len(shard):
+            if (
+                not isinstance(globals_, list)
+                or len(globals_) != len(shard)
+                or not all(type(global_id) is int for global_id in globals_)
+            ):
                 raise fail("a shard's id list does not match its snapshot")
             if globals_ != sorted(globals_):
                 raise fail("a shard's global ids are not ascending")

@@ -45,6 +45,7 @@ import zlib
 
 from repro.api.errors import WalReplayError
 from repro.faults import fault_point
+from repro.store.format import _fsync_directory
 
 __all__ = ["WAL_MAGIC", "WalRecord", "WriteAheadLog"]
 
@@ -112,9 +113,7 @@ class WriteAheadLog:
         """Durably log one append (names added atop ``base`` records)."""
         record = WalRecord(base, tuple(names))
         data = _encode_record(record)
-        handle = os.open(
-            self.path, os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o644
-        )
+        handle = self._open(os.O_APPEND | os.O_WRONLY)
         try:
             fault_point("store.write")
             os.write(handle, data)
@@ -126,11 +125,22 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Empty the log (the snapshot now covers everything in it)."""
-        handle = os.open(self.path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
+        handle = self._open(os.O_TRUNC | os.O_WRONLY)
         try:
             os.fsync(handle)
         finally:
             os.close(handle)
+
+    def _open(self, flags: int) -> int:
+        """Open the log, creating it if missing; a creation is fsynced
+        into the directory, so the file an fsynced append wrote to
+        survives a crash (as :func:`~repro.store.format.write_snapshot_file`
+        does for its rename)."""
+        created = not os.path.exists(self.path)
+        handle = os.open(self.path, os.O_CREAT | flags, 0o644)
+        if created:
+            _fsync_directory(os.path.dirname(os.path.abspath(self.path)))
+        return handle
 
     # -- reading ----------------------------------------------------------------
 

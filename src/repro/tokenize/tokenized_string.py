@@ -42,6 +42,16 @@ class TokenizedString:
         the set-level edits ``AddEmptyToken`` / ``RemoveEmptyToken`` are free
         (Def. 3), so empty tokens never change any distance and keeping them
         would only distort ``T(.)``.
+
+    Examples
+    --------
+    >>> name = TokenizedString(["lee", "ann", "", "ann"])
+    >>> name
+    TokenizedString(['ann', 'ann', 'lee'])
+    >>> name.aggregate_length, name.token_count, dict(name.length_histogram)
+    (9, 3, {3: 3})
+    >>> name == TokenizedString(["ann", "lee", "ann"])
+    True
     """
 
     __slots__ = (

@@ -2,9 +2,10 @@
 
 The property the front door guarantees: for every registered join
 algorithm, a ``JoinSpec`` returns exactly the pairs of the layer's
-direct call (seeded corpora), and every registered search backend is
-reachable through ``TopKSpec``/``WithinSpec`` with results identical to
-the direct :class:`repro.service.SimilarityIndex` call.  A newly
+direct call (seeded corpora), and every accepted spelling of the one
+search method is reachable through ``TopKSpec``/``WithinSpec`` with
+results identical to the direct :class:`repro.service.SimilarityIndex`
+call.  A newly
 registered algorithm must be added to the direct-call map below -- the
 test fails on any registry/map drift in either direction.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import JoinSpec, Session, TopKSpec, WithinSpec
-from repro.api.registry import join_algorithms, resolve_search, search_methods
+from repro.api.registry import join_algorithms, search_methods
 from repro.data import evaluation_corpus
 from repro.tokenize import tokenize
 
@@ -191,5 +192,13 @@ def test_search_results_equal_direct_index_calls():
 
 
 def test_cascade_alias_resolves_to_similarity_index():
-    assert resolve_search("cascade").name == "similarity_index"
     assert "cascade" in search_methods(include_aliases=True)
+    spec = WithinSpec(queries=(NAMES[0],), radius=0.2, method="cascade")
+    # The spec keeps the spelling it was sent, on the wire too ...
+    assert spec.method == "cascade"
+    assert WithinSpec.from_json(spec.to_json()) == spec
+    # ... and the envelope names the method that answered.
+    result = Session(NAMES).run(spec)
+    assert result.algorithm == "similarity_index"
+    assert result.request["method"] == "cascade"
+    assert result.matches[0][0] == [NAMES[0], 0]

@@ -53,12 +53,6 @@ class TestExamplesRun:
         output = capsys.readouterr().out
         assert "TSJ/one" in output
 
-    def test_knn_search(self, capsys):
-        load_example("knn_search.py").main(150)
-        output = capsys.readouterr().out
-        assert "nearest accounts" in output
-        assert "verified against linear scan" in output
-
     def test_query_serving(self, capsys):
         load_example("query_serving.py").main(120)
         output = capsys.readouterr().out

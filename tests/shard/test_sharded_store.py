@@ -10,6 +10,7 @@ sharded status block.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -18,6 +19,7 @@ from repro.api.errors import CorruptSnapshotError
 from repro.service import SimilarityIndex
 from repro.shard import ShardedIndex, ShardedSnapshotStore
 from repro.store import SnapshotStore
+from repro.store.format import read_snapshot_file, write_snapshot_file
 
 pytestmark = pytest.mark.tier1
 
@@ -133,6 +135,43 @@ class TestDamage:
         assert index.names == list(NAMES)
         assert reborn.rebuilds == 1
         assert reborn.status()["loaded"] is False
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"placement": {"kind": "length", "n_shards": 2, "boundaries": []}},
+            {"placement": {"kind": "nope", "n_shards": 2}},
+            {"placement": {"kind": "length", "n_shards": 2, "boundaries": ["x"]}},
+            {"shard_ids": [[0, 1, 2, 3, "a"], [5]]},
+            {"shard_ids": [[0, 1, 2, 3, 4.0], [5]]},
+        ],
+        ids=[
+            "boundary-count",
+            "unknown-kind",
+            "non-int-boundary",
+            "str-shard-id",
+            "float-shard-id",
+        ],
+    )
+    def test_malformed_manifest_field_rebuilds_counted(self, store_dir, damage):
+        # A CRC-valid manifest with a malformed field is corruption like
+        # any other: typed on load, a counted rebuild on open.
+        store = ShardedSnapshotStore(store_dir)
+        store.open(NAMES, n_shards=2)
+        manifest = json.loads(read_snapshot_file(store.manifest_path)["manifest"])
+        assert [len(ids) for ids in manifest["shard_ids"]] == [5, 1]
+        manifest.update(damage)
+        write_snapshot_file(
+            store.manifest_path, {"manifest": json.dumps(manifest).encode("utf-8")}
+        )
+        with pytest.raises(CorruptSnapshotError):
+            ShardedSnapshotStore(store_dir).load()
+        reborn = ShardedSnapshotStore(store_dir)
+        index = reborn.open(NAMES, n_shards=2)
+        assert reborn.rebuilds == 1
+        assert index.names == list(NAMES)
+        index.append(["jon smith"])  # the rebuilt placement routes appends
+        assert index.topk(["jon smith"], k=1) == [[("jon smith", 0.0)]]
 
     def test_missing_shard_snapshot_is_typed(self, store_dir):
         store = ShardedSnapshotStore(store_dir)

@@ -1,4 +1,5 @@
-"""The write-ahead log: replay, torn tails, mid-file corruption.
+"""The write-ahead log: replay, torn tails, mid-file corruption, and
+the directory entry of a newly created log.
 
 The framing relies on the prefix property of torn writes, so the tests
 split cleanly: any *prefix* of the file replays the intact records and
@@ -12,7 +13,10 @@ import os
 
 import pytest
 
+import repro.store.format
+import repro.store.wal
 from repro.api.errors import WalReplayError
+from repro.shard import ShardedSnapshotStore
 from repro.store.wal import WalRecord, WriteAheadLog, _encode_record
 
 pytestmark = pytest.mark.tier1
@@ -26,6 +30,51 @@ def wal(tmp_path):
 def write_raw(wal, data: bytes) -> None:
     with open(wal.path, "wb") as handle:
         handle.write(data)
+
+
+@pytest.fixture()
+def directory_fsyncs(monkeypatch):
+    """Record each directory fsync as ``(directory, index.wal exists)``."""
+    calls = []
+    real = repro.store.format._fsync_directory
+
+    def record(directory):
+        wal_path = os.path.join(directory, "index.wal")
+        calls.append((os.path.abspath(directory), os.path.exists(wal_path)))
+        real(directory)
+
+    for module in (repro.store.format, repro.store.wal):
+        monkeypatch.setattr(module, "_fsync_directory", record, raising=False)
+    return calls
+
+
+class TestCreationIsDurable:
+    """Creating the log adds a directory entry; until the directory is
+    fsynced, a crash can lose the file and every fsynced append in it."""
+
+    def test_fresh_store_fsyncs_directory_after_creating_the_log(
+        self, tmp_path, directory_fsyncs
+    ):
+        store_dir = str(tmp_path / "store")
+        store = ShardedSnapshotStore(store_dir)
+        store.open(["ann lee", "bob stone"])
+        assert os.path.exists(store.wal.path)
+        assert (os.path.abspath(store_dir), True) in directory_fsyncs
+
+    @pytest.mark.parametrize("operation", ["append", "reset"])
+    def test_creating_the_log_fsyncs_its_directory(
+        self, wal, directory_fsyncs, operation
+    ):
+        if operation == "append":
+            wal.append(["x"], base=0)
+        else:
+            wal.reset()
+        directory = os.path.dirname(os.path.abspath(wal.path))
+        assert directory_fsyncs == [(directory, True)]
+        # An existing log is not a new directory entry.
+        wal.append(["y"], base=1)
+        wal.reset()
+        assert directory_fsyncs == [(directory, True)]
 
 
 class TestAppendReplay:
